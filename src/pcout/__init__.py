@@ -2,116 +2,13 @@
 
 The main entry point is :func:`pcout.detect`, a two-stage principal-component
 detector that stays fast and well-conditioned when columns outnumber rows.
-Comparison detectors (classical Mahalanobis, OGK, spatial-sign PCA), a
-contamination-simulation harness, and a CSV command line round out the
-toolkit.
+Comparison detectors (classical Mahalanobis, OGK, spatial-sign PCA) live in
+:mod:`pcout.baselines`, the contamination-simulation harness in
+:mod:`pcout.evalsim`, and the CSV command line in :mod:`pcout.cli`.
 """
 
-from .baselines import (
-    DetectionResult,
-    LocationScatter,
-    classical_detect,
-    ogk_detect,
-    ogk_estimate,
-    ogk_pairwise_cov,
-    ogk_reweight,
-    robust_distances,
-    sign2_detect,
-    spatial_signs,
-)
-from .chisq import ChiSquareDist, chi2_cdf, chi2_quantile
-from .dataio import DataMatrix, InputDataError, emit_plot_data, load_csv
-from .evalsim import (
-    ConfusionCounts,
-    SimSpec,
-    SweepRow,
-    TimingRow,
-    confusion,
-    dimension_sweep,
-    generate_contaminated,
-    time_detectors,
-)
-from .prcmpout import (
-    DetectorConfig,
-    DistanceSet,
-    WeightReport,
-    combine_weights,
-    detect,
-    stage1_location,
-    stage2_scatter,
-    transform_distances,
-    translated_biweight,
-)
-from .robust import (
-    MAD_SCALE,
-    ScaleParams,
-    l1_median,
-    mad,
-    median,
-    quantile,
-    robust_kurtosis_weight,
-    robust_sphere,
-)
-from .spectral import (
-    PcaBasis,
-    covariance,
-    gram_eigen,
-    pca_basis,
-    project,
-    retain_components,
-    sym_eigen,
-)
+from .prcmpout import DetectorConfig, WeightReport, detect
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChiSquareDist",
-    "ConfusionCounts",
-    "DataMatrix",
-    "DetectionResult",
-    "DetectorConfig",
-    "DistanceSet",
-    "InputDataError",
-    "LocationScatter",
-    "MAD_SCALE",
-    "PcaBasis",
-    "ScaleParams",
-    "SimSpec",
-    "SweepRow",
-    "TimingRow",
-    "WeightReport",
-    "chi2_cdf",
-    "chi2_quantile",
-    "classical_detect",
-    "combine_weights",
-    "confusion",
-    "covariance",
-    "detect",
-    "dimension_sweep",
-    "emit_plot_data",
-    "generate_contaminated",
-    "gram_eigen",
-    "l1_median",
-    "load_csv",
-    "mad",
-    "median",
-    "ogk_detect",
-    "ogk_estimate",
-    "ogk_pairwise_cov",
-    "ogk_reweight",
-    "pca_basis",
-    "project",
-    "quantile",
-    "retain_components",
-    "robust_distances",
-    "robust_kurtosis_weight",
-    "robust_sphere",
-    "sign2_detect",
-    "spatial_signs",
-    "stage1_location",
-    "stage2_scatter",
-    "sym_eigen",
-    "time_detectors",
-    "transform_distances",
-    "translated_biweight",
-]
+__all__ = ["DetectorConfig", "WeightReport", "detect"]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chisq import chi2_quantile
-from .robust import MAD_SCALE, mad
+from .robust import mad, median_mad
 from .spectral import covariance, pca_basis, project, sym_eigen
 
 _SINGULAR_RTOL = 1e-12
@@ -33,11 +33,6 @@ class DetectionResult:
     cutoff: float
     flags: np.ndarray
     method: str
-
-
-def _column_mads(X: np.ndarray) -> np.ndarray:
-    med = np.median(X, axis=0)
-    return MAD_SCALE * np.median(np.abs(X - med), axis=0)
 
 
 def robust_distances(X, est: LocationScatter) -> np.ndarray:
@@ -93,7 +88,7 @@ def _ogk_scores(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
     p = X.shape[1]
-    d = _column_mads(X)
+    _, d = median_mad(X, axis=0)
     if np.any(d == 0.0):
         bad = np.flatnonzero(d == 0.0)
         raise ValueError(f"columns with zero MAD: {bad.tolist()}")
@@ -103,8 +98,8 @@ def _ogk_scores(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for j in range(p - 1):
         col = Y[:, j : j + 1]
         rest = Y[:, j + 1 :]
-        s_plus = _column_mads(col + rest)
-        s_minus = _column_mads(col - rest)
+        _, s_plus = median_mad(col + rest, axis=0)
+        _, s_minus = median_mad(col - rest, axis=0)
         U[j, j + 1 :] = 0.25 * (s_plus**2 - s_minus**2)
         U[j + 1 :, j] = U[j, j + 1 :]
 
@@ -122,8 +117,8 @@ def ogk_estimate(X) -> LocationScatter:
     positive semidefinite by construction.
     """
     d, E, Z = _ogk_scores(X)
-    nu = np.median(Z, axis=0)
-    gamma = _column_mads(Z) ** 2
+    nu, sigma = median_mad(Z, axis=0)
+    gamma = sigma**2
     A = d[:, None] * E
     scatter = (A * gamma) @ A.T
     return LocationScatter(location=A @ nu, scatter=(scatter + scatter.T) / 2.0)
@@ -137,8 +132,7 @@ def _ogk_eigenspace_distances(X) -> np.ndarray:
     with zero spread carry no distance information and are skipped.
     """
     _, _, Z = _ogk_scores(X)
-    nu = np.median(Z, axis=0)
-    sigma = _column_mads(Z)
+    nu, sigma = median_mad(Z, axis=0)
     keep = sigma > 0.0
     if not keep.any():
         raise ValueError("all eigenvector coordinates have zero spread")
@@ -194,6 +188,24 @@ def ogk_detect(X, alpha: float, beta: float = 0.9) -> DetectionResult:
     return DetectionResult(distances=dist, cutoff=cutoff, flags=dist > cutoff, method="ogk")
 
 
+def _unit_rows(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each nonzero row of D scaled to unit norm, zero rows left zero, and
+    the mask of nonzero rows.
+
+    Before squaring, every row is multiplied by the power of two that puts
+    its largest |entry| in [0.5, 1). That cannot overflow, and because the
+    scaling is exact the signs are bit-identical to the plain computation
+    wherever that one stays finite.
+    """
+    _, exponent = np.frexp(np.abs(D).max(axis=1))
+    Dn = np.ldexp(D, -exponent[:, None])
+    norms = np.sqrt((Dn**2).sum(axis=1))
+    off = norms > 0.0
+    S = np.zeros_like(D)
+    S[off] = Dn[off] / norms[off, None]
+    return S, off
+
+
 def spatial_signs(X, center=None) -> np.ndarray:
     """Unit vectors from a center (default: coordinatewise median) to each row.
 
@@ -203,12 +215,7 @@ def spatial_signs(X, center=None) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if center is None:
         center = np.median(X, axis=0)
-    D = X - center
-    norms = np.sqrt((D**2).sum(axis=1))
-    S = np.zeros_like(D)
-    off = norms > 0.0
-    S[off] = D[off] / norms[off, None]
-    return S
+    return _unit_rows(X - center)[0]
 
 
 def sign2_detect(X, alpha: float, variance_threshold: float = 0.99) -> DetectionResult:
@@ -232,16 +239,14 @@ def sign2_detect(X, alpha: float, variance_threshold: float = 0.99) -> Detection
     if n < 3:
         raise ValueError(f"need at least 3 rows, got {n}")
 
-    center = np.median(X, axis=0)
-    D = X - center
-    off_center = np.sqrt((D**2).sum(axis=1)) > 0.0
+    D = X - np.median(X, axis=0)
+    S, off_center = _unit_rows(D)
     if off_center.sum() < 2:
         raise ValueError("fewer than 2 rows away from the spatial center")
-    S = spatial_signs(X, center)
 
     basis = pca_basis(S[off_center], variance_threshold, max_components=n - 1)
     Z = project(D, basis)
-    sc = _column_mads(Z)
+    _, sc = median_mad(Z, axis=0)
     keep = sc > 0.0
     if not keep.any():
         raise ValueError("all projected score columns have zero MAD")

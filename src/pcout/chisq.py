@@ -10,7 +10,6 @@ bisection whenever a Newton step leaves the bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _EPS = 1e-15
 _MAX_ITER = 400
@@ -127,16 +126,3 @@ def _normal_quantile(p: float) -> float:
     t = math.sqrt(-2.0 * math.log(q))
     z = t - (2.30753 + 0.27061 * t) / (1.0 + 0.99229 * t + 0.04481 * t * t)
     return z if flip else -z
-
-
-@dataclass(frozen=True)
-class ChiSquareDist:
-    """Chi-square distribution with a fixed number of degrees of freedom."""
-
-    df: float
-
-    def cdf(self, x: float) -> float:
-        return chi2_cdf(x, self.df)
-
-    def quantile(self, prob: float) -> float:
-        return chi2_quantile(prob, self.df)

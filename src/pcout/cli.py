@@ -37,7 +37,22 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_CONFIG = 4
 
-METHODS = ("prcmpout", "classical", "ogk", "sign2")
+DEFAULT_ALPHA = 0.05
+DEFAULT_BETA = 0.9
+
+# method -> run(X, alpha, beta, cfg) returning (result, settings echoed in
+# the report header); alpha and beta are ignored by prcmpout, cfg by the rest
+_RUNNERS = {
+    "prcmpout": lambda X, alpha, beta, cfg: (detect(X, cfg), dataclasses.asdict(cfg)),
+    "classical": lambda X, alpha, beta, cfg: (
+        baselines.classical_detect(X, alpha), {"alpha": alpha}
+    ),
+    "ogk": lambda X, alpha, beta, cfg: (
+        baselines.ogk_detect(X, alpha, beta=beta), {"alpha": alpha, "beta": beta}
+    ),
+    "sign2": lambda X, alpha, beta, cfg: (baselines.sign2_detect(X, alpha), {"alpha": alpha}),
+}
+METHODS = tuple(_RUNNERS)
 
 _DETECTOR_FIELDS = [f.name for f in dataclasses.fields(DetectorConfig)]
 
@@ -63,7 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--input", required=True, help="CSV file with a header row")
     p_detect.add_argument("--method", required=True, choices=METHODS)
     p_detect.add_argument("--alpha", type=float, default=None, help="cutoff level for classical/ogk/sign2")
-    p_detect.add_argument("--beta", type=float, default=None, help="ogk reweighting level (default 0.9)")
+    p_detect.add_argument(
+        "--beta", type=float, default=None, help=f"ogk reweighting level (default {DEFAULT_BETA})"
+    )
     p_detect.add_argument("--format", choices=("json", "csv"), default="json")
     p_detect.add_argument("--output", default=None, help="report path (stdout when omitted)")
     p_detect.add_argument("--plot-data", default=None, help="also write figure data to this path")
@@ -90,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="median wall-clock comparison of detectors")
     p_bench.add_argument("--methods", default="prcmpout,ogk", help="comma-separated method names")
-    p_bench.add_argument("--alpha", type=float, default=0.05)
+    p_bench.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p_bench.add_argument("--n", type=int, default=100)
     p_bench.add_argument("--p", type=int, default=400)
     p_bench.add_argument("--repeats", type=int, default=5)
@@ -114,28 +131,11 @@ def _write(text: str, path: str | None):
             fh.write(text)
 
 
-def _detector_config(args) -> DetectorConfig:
-    overrides = {}
-    for name in _DETECTOR_FIELDS:
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    try:
-        return DetectorConfig(**overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _make_handle(method: str, alpha: float, cfg: DetectorConfig):
-    if method == "prcmpout":
-        return lambda X: detect(X, cfg).flags
-    if method == "classical":
-        return lambda X: baselines.classical_detect(X, alpha).flags
-    if method == "ogk":
-        return lambda X: baselines.ogk_detect(X, alpha).flags
-    if method == "sign2":
-        return lambda X: baselines.sign2_detect(X, alpha).flags
-    raise ConfigError(f"unknown method {method!r}")
+def _flag_handle(method: str, alpha: float | None):
+    """Detector handle for the simulation harness, at the default tuning."""
+    run = _RUNNERS[method]
+    cfg = DetectorConfig()
+    return lambda X: run(X, alpha, DEFAULT_BETA, cfg)[0].flags
 
 
 def _cmd_detect(args) -> int:
@@ -143,45 +143,33 @@ def _cmd_detect(args) -> int:
         raise ConfigError(f"--alpha must be in (0, 1), got {args.alpha}")
     if args.beta is not None and not 0.0 < args.beta < 1.0:
         raise ConfigError(f"--beta must be in (0, 1), got {args.beta}")
-    if args.method == "prcmpout":
-        if args.alpha is not None:
-            raise ConfigError("--alpha does not apply to the prcmpout method")
-        if args.beta is not None:
-            raise ConfigError("--beta only applies to the ogk method")
-        cfg = _detector_config(args)
-    else:
-        set_overrides = [n for n in _DETECTOR_FIELDS if getattr(args, n) is not None]
-        if set_overrides:
-            raise ConfigError(
-                f"detector options {set_overrides} only apply to the prcmpout method"
-            )
-        if args.beta is not None and args.method != "ogk":
-            raise ConfigError("--beta only applies to the ogk method")
+    if args.method == "prcmpout" and args.alpha is not None:
+        raise ConfigError("--alpha does not apply to the prcmpout method")
+    set_overrides = [n for n in _DETECTOR_FIELDS if getattr(args, n) is not None]
+    if set_overrides and args.method != "prcmpout":
+        raise ConfigError(f"detector options {set_overrides} only apply to the prcmpout method")
+    if args.beta is not None and args.method != "ogk":
+        raise ConfigError("--beta only applies to the ogk method")
+    try:
+        cfg = DetectorConfig(**{name: getattr(args, name) for name in set_overrides})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    dm = load_csv(args.input)
     start = time.perf_counter()
+    dm = load_csv(args.input)
+    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
+    beta = DEFAULT_BETA if args.beta is None else args.beta
+    result, settings = _RUNNERS[args.method](dm.values, alpha, beta, cfg)
+    config_echo = {"input": args.input, "method": args.method, **settings}
     if args.method == "prcmpout":
-        report = detect(dm.values, cfg)
-        config_echo = {"input": args.input, "method": "prcmpout", **dataclasses.asdict(cfg)}
-        doc = weight_report_document(dm, report, config_echo)
+        doc, kind = weight_report_document(dm, result, config_echo), "weight_panels"
     else:
-        alpha = 0.05 if args.alpha is None else args.alpha
-        config_echo = {"input": args.input, "method": args.method, "alpha": alpha}
-        if args.method == "classical":
-            result = baselines.classical_detect(dm.values, alpha)
-        elif args.method == "ogk":
-            beta = 0.9 if args.beta is None else args.beta
-            config_echo["beta"] = beta
-            result = baselines.ogk_detect(dm.values, alpha, beta=beta)
-        else:
-            result = baselines.sign2_detect(dm.values, alpha)
-        doc = detection_result_document(dm, result, config_echo)
-    elapsed = time.perf_counter() - start
+        doc, kind = detection_result_document(dm, result, config_echo), "distance_index"
 
     _write(document_to_json(doc) if args.format == "json" else document_to_csv(doc), args.output)
     if args.plot_data is not None:
-        kind = "weight_panels" if args.method == "prcmpout" else "distance_index"
         _write(emit_plot_data(doc, kind), args.plot_data)
+    elapsed = time.perf_counter() - start
     print(
         f"{args.method}: flagged {doc['header']['flagged']} of {dm.n_rows} rows "
         f"in {elapsed:.3f}s",
@@ -202,9 +190,9 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 def _cmd_sweep(args) -> int:
     if args.method == "prcmpout" and args.alpha is not None:
         raise ConfigError("--alpha does not apply to the prcmpout method")
-    alpha = args.alpha if args.method != "prcmpout" else None
-    if args.method != "prcmpout" and alpha is None:
-        alpha = 0.05
+    alpha = None
+    if args.method != "prcmpout":
+        alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
     p_values = _parse_int_list(args.p_values, "--p-values")
     if not p_values:
         raise ConfigError("--p-values must name at least one dimension")
@@ -222,7 +210,7 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    handle = _make_handle(args.method, alpha if alpha is not None else 0.05, DetectorConfig())
+    handle = _flag_handle(args.method, alpha)
     rows = evalsim.dimension_sweep(
         handle, p_values, args.replications, base_spec, detector_name=args.method, alpha=alpha
     )
@@ -253,7 +241,7 @@ def _cmd_bench(args) -> int:
         spec = evalsim.SimSpec(n=args.n, p=args.p, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    handles = {m: _make_handle(m, args.alpha, DetectorConfig()) for m in methods}
+    handles = {m: _flag_handle(m, args.alpha) for m in methods}
     rows = evalsim.time_detectors(handles, spec, repeats=args.repeats)
     text = (
         evalsim.timing_to_csv(rows)

@@ -16,9 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chisq import chi2_quantile
-from .robust import mad, median, quantile
-
 
 class InputDataError(ValueError):
     """Malformed input: missing files, ragged rows, non-numeric cells."""
@@ -53,13 +50,6 @@ class DataMatrix:
             row_ids=tuple(str(i + 1) for i in range(n)),
             column_names=tuple(f"x{j + 1}" for j in range(p)),
         )
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None and dtype != self.values.dtype:
-            return self.values.astype(dtype)
-        if copy:
-            return self.values.copy()
-        return self.values
 
     @property
     def n_rows(self) -> int:
@@ -137,7 +127,12 @@ def load_csv(path) -> DataMatrix:
 # --------------------------------------------------------------------------
 
 def weight_report_document(dm: DataMatrix, report, config: dict) -> dict:
-    """JSON-ready document for a PrCmpOut run: header plus one record per row."""
+    """JSON-ready document for a PrCmpOut run: header plus one record per row.
+
+    The header's ``thresholds`` block holds the biweight bounds (M, c) each
+    stage applied, as the detector computed them.
+    """
+    d1, d2 = report.stage1_distances, report.stage2_distances
     header = {
         "method": "prcmpout",
         "n": dm.n_rows,
@@ -146,6 +141,10 @@ def weight_report_document(dm: DataMatrix, report, config: dict) -> dict:
         "dropped_columns": sorted(report.dropped_columns),
         "dropped_column_names": [dm.column_names[j] for j in sorted(report.dropped_columns)],
         "flagged": int(np.sum(report.flags)),
+        "thresholds": {
+            "stage1": {"M": d1.m_cut, "c": d1.c_cut},
+            "stage2": {"M": d2.m_cut, "c": d2.c_cut},
+        },
         "config": config,
     }
     records = [
@@ -234,23 +233,18 @@ def plot_distance_index(doc: dict) -> list[tuple]:
 def plot_weight_panels(doc: dict) -> list[tuple]:
     """The six per-observation panels of a PrCmpOut run.
 
-    Panels: stage-1 distances (with the M/c boundaries as x = 0 rows), w1,
-    stage-2 distances (again with boundaries), w2, combined weights (with the
-    outlier cut), and the resulting 0/1 flags.
+    Panels: stage-1 distances (with the M/c boundaries from the header's
+    thresholds block as x = 0 rows), w1, stage-2 distances (again with
+    boundaries), w2, combined weights (with the outlier cut), and the
+    resulting 0/1 flags.
     """
     header = doc["header"]
     if header.get("method") != "prcmpout":
         raise ValueError("weight panels need a prcmpout report")
+    if "thresholds" not in header:
+        raise ValueError("report has no thresholds block; rerun pcout detect to get one")
     records = doc["records"]
-    cfg = header["config"]
-    d1 = [rec["stage1_distance"] for rec in records]
-    d2 = [rec["stage2_distance"] for rec in records]
-    p_star = header["p_star"]
-
-    m1 = quantile(d1, cfg["stage1_full_weight_fraction"])
-    c1 = median(d1) + cfg["stage1_c_mad_multiplier"] * mad(d1)
-    m2 = math.sqrt(chi2_quantile(cfg["stage2_m_quantile"], p_star))
-    c2 = math.sqrt(chi2_quantile(cfg["stage2_c_quantile"], p_star))
+    bounds = header["thresholds"]
 
     rows = []
     for i, rec in enumerate(records):
@@ -262,11 +256,10 @@ def plot_weight_panels(doc: dict) -> list[tuple]:
         rows.append(("stage2_weight", x, rec["w2"], state))
         rows.append(("combined_weight", x, rec["w_final"], state))
         rows.append(("flag01", x, 0.0 if rec["flag"] else 1.0, state))
-    rows.append(("stage1_distance", 0, m1, "boundary"))
-    rows.append(("stage1_distance", 0, c1, "boundary"))
-    rows.append(("stage2_distance", 0, m2, "boundary"))
-    rows.append(("stage2_distance", 0, c2, "boundary"))
-    rows.append(("combined_weight", 0, cfg["outlier_cut"], "boundary"))
+    for stage in ("stage1", "stage2"):
+        rows.append((f"{stage}_distance", 0, bounds[stage]["M"], "boundary"))
+        rows.append((f"{stage}_distance", 0, bounds[stage]["c"], "boundary"))
+    rows.append(("combined_weight", 0, header["config"]["outlier_cut"], "boundary"))
     return rows
 
 

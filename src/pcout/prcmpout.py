@@ -23,12 +23,12 @@ The pipeline:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .chisq import chi2_quantile
-from .robust import mad, median, quantile, robust_kurtosis_weight, robust_sphere
+from .robust import median, median_mad, quantile, robust_kurtosis_weight, robust_sphere
 from .spectral import pca_basis, project
 
 
@@ -70,11 +70,15 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class DistanceSet:
-    """Raw robust distances and their median-calibrated transforms."""
+    """Raw robust distances, their median-calibrated transforms, and the
+    biweight bounds (full weight up to m_cut, zero from c_cut) a stage
+    applied to them; the bounds are None until a stage sets them."""
 
     raw: np.ndarray
     transformed: np.ndarray
     df: int
+    m_cut: float | None = None
+    c_cut: float | None = None
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,8 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
     Zs must already be median/MAD-sphered per column. Each column gets an
     absolute excess-kurtosis weight; the robust distance of a row is the
     square root of the kurtosis-weighted average of its squared entries.
+    The returned DistanceSet carries the biweight bounds: M at the
+    full-weight distance quantile, c at median + multiplier * MAD.
     """
     Zs = np.asarray(Zs, dtype=float)
     n, p_star = Zs.shape
@@ -142,17 +148,22 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
     dset = transform_distances(raw, p_star)
     d = dset.transformed
     m_cut = quantile(d, cfg.stage1_full_weight_fraction)
-    c_cut = median(d) + cfg.stage1_c_mad_multiplier * mad(d)
+    med, spread = median_mad(d)
+    c_cut = float(med + cfg.stage1_c_mad_multiplier * spread)
     if c_cut > m_cut:
         w1 = translated_biweight(d, m_cut, c_cut)
     else:
         # all distances essentially equal: no evidence of location outliers
         w1 = (d <= m_cut).astype(float)
-    return w1, dset, kurt
+    return w1, replace(dset, m_cut=m_cut, c_cut=c_cut), kurt
 
 
 def stage2_scatter(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarray, DistanceSet]:
-    """Scatter-outlier weights from plain Euclidean norms of sphered scores."""
+    """Scatter-outlier weights from plain Euclidean norms of sphered scores.
+
+    The biweight bounds, sqrt of the chi-square quantiles at p*, are carried
+    on the returned DistanceSet.
+    """
     Zs = np.asarray(Zs, dtype=float)
     p_star = Zs.shape[1]
     raw = np.sqrt((Zs**2).sum(axis=1))
@@ -160,7 +171,7 @@ def stage2_scatter(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarr
     m_cut = math.sqrt(chi2_quantile(cfg.stage2_m_quantile, p_star))
     c_cut = math.sqrt(chi2_quantile(cfg.stage2_c_quantile, p_star))
     w2 = translated_biweight(dset.transformed, m_cut, c_cut)
-    return w2, dset
+    return w2, replace(dset, m_cut=m_cut, c_cut=c_cut)
 
 
 def combine_weights(w1, w2, s: float) -> np.ndarray:

@@ -30,10 +30,19 @@ def median(values) -> float:
     return float(np.median(_as_sample(values)))
 
 
+def median_mad(X, axis=None):
+    """Median and scaled MAD (median absolute deviation times 1.4826).
+
+    With ``axis=None`` both come from the flattened input; with ``axis=0``
+    they are per-column arrays.
+    """
+    med = np.median(X, axis=axis)
+    return med, MAD_SCALE * np.median(np.abs(X - med), axis=axis)
+
+
 def mad(values) -> float:
     """Median absolute deviation about the median, scaled by 1.4826."""
-    x = _as_sample(values)
-    return MAD_SCALE * float(np.median(np.abs(x - np.median(x))))
+    return float(median_mad(_as_sample(values))[1])
 
 
 def quantile(values, prob: float) -> float:
@@ -122,8 +131,7 @@ def robust_sphere(X) -> tuple[np.ndarray, ScaleParams]:
         raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
     if X.shape[0] < 2:
         raise ValueError("sphering needs at least 2 rows")
-    medians = np.median(X, axis=0)
-    mads = MAD_SCALE * np.median(np.abs(X - medians), axis=0)
+    medians, mads = median_mad(X, axis=0)
     keep = mads > 0.0
     if not keep.any():
         raise ValueError("all columns have zero MAD; nothing to analyze")
@@ -139,8 +147,7 @@ def robust_kurtosis_weight(values) -> float:
     which is why the absolute value is taken.
     """
     z = _as_sample(values)
-    med = np.median(z)
-    scale = MAD_SCALE * float(np.median(np.abs(z - med)))
+    med, scale = median_mad(z)
     if scale == 0.0:
         raise ValueError("zero MAD; kurtosis weight undefined")
     return float(abs(np.mean(((z - med) / scale) ** 4) - 3.0))

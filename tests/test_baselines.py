@@ -229,6 +229,24 @@ class TestSign2:
         assert np.array_equal(base.flags, scaled.flags)
         assert scaled.distances == pytest.approx(base.distances, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
+    def test_signs_bit_identical_to_the_plain_formula(self, scale):
+        rng = np.random.Generator(np.random.Philox(58))
+        X = scale * rng.standard_normal((80, 7))
+        D = X - np.median(X, axis=0)
+        plain = D / np.sqrt((D**2).sum(axis=1))[:, None]
+        assert np.array_equal(spatial_signs(X), plain)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_entries_do_not_overflow(self):
+        # squaring entries near 1e160 overflows float64 unless rows are rescaled first
+        rng = np.random.Generator(np.random.Philox(59))
+        X = rng.standard_normal((60, 8))
+        base = sign2_detect(X, alpha=0.05)
+        huge = sign2_detect(X * 1e160, alpha=0.05)
+        assert np.array_equal(huge.flags, base.flags)
+        assert huge.distances == pytest.approx(base.distances, rel=1e-12)
+
     def test_row_at_the_center_is_scored_not_crashed(self):
         v = np.array([1.0, 2.0, 0.5, -1.0])
         w = np.array([-2.0, 1.0, 1.5, 0.25])

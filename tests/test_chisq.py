@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from pcout.chisq import ChiSquareDist, chi2_cdf, chi2_quantile
+from pcout.chisq import chi2_cdf, chi2_quantile
 
 DF_GRID = [1, 2, 5, 10, 40, 99]
 PROB_GRID = [0.01, 0.25, 0.5, 0.95, 0.99]
@@ -91,8 +91,3 @@ class TestQuantile:
     def test_probability_bounds(self, prob):
         with pytest.raises(ValueError):
             chi2_quantile(prob, 5)
-
-
-def test_distribution_object_delegates():
-    dist = ChiSquareDist(df=7)
-    assert dist.cdf(dist.quantile(0.3)) == pytest.approx(0.3, rel=1e-10)
