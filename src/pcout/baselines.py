@@ -1,6 +1,11 @@
 """Comparison detectors: classical Mahalanobis with a chi-square cutoff, the
 orthogonalized pairwise-robust (OGK) location/scatter estimator with an
 optional hard-rejection reweighting step, and a spatial-sign PCA detector.
+
+All three turn distances into flags the same way (``_chi2_cut``): flagged
+beyond sqrt(chi2(df, 1 - alpha)). OGK and sign2 first median-calibrate their
+distances with ``prcmpout.transform_distances``, the rule PrCmpOut applies, and
+OGK's wide branch spheres its scores with ``robust.robust_sphere``.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chisq import chi2_quantile
-from .robust import mad, median_mad
+from .prcmpout import transform_distances
+from .robust import mad, median_mad, robust_sphere
 from .spectral import covariance, pca_basis, project, sym_eigen
 
 _SINGULAR_RTOL = 1e-12
@@ -48,6 +54,12 @@ def robust_distances(X, est: LocationScatter) -> np.ndarray:
     return np.sqrt((Y**2 / evals).sum(axis=1))
 
 
+def _chi2_cut(dist: np.ndarray, df: int, alpha: float, method: str) -> DetectionResult:
+    """Flag the distances beyond sqrt(chi2(df, 1 - alpha))."""
+    cutoff = math.sqrt(chi2_quantile(1.0 - alpha, df))
+    return DetectionResult(distances=dist, cutoff=cutoff, flags=dist > cutoff, method=method)
+
+
 def classical_detect(X, alpha: float) -> DetectionResult:
     """Sample mean/covariance distances flagged beyond sqrt(chi2(p, 1 - alpha)).
 
@@ -63,20 +75,19 @@ def classical_detect(X, alpha: float) -> DetectionResult:
             "use the prcmpout method, which handles wide matrices"
         )
     est = LocationScatter(location=X.mean(axis=0), scatter=covariance(X))
-    dist = robust_distances(X, est)
-    cutoff = math.sqrt(chi2_quantile(1.0 - alpha, p))
-    return DetectionResult(distances=dist, cutoff=cutoff, flags=dist > cutoff, method="classical")
+    return _chi2_cut(robust_distances(X, est), p, alpha, "classical")
 
 
-def ogk_pairwise_cov(x, y, scale=mad) -> float:
+def ogk_pairwise_cov(x, y, scale=mad):
     """Pairwise robust covariance: quarter-difference of squared scales.
 
     cov(x, y) = (scale(x + y)^2 - scale(x - y)^2) / 4; with the classical
     standard deviation as the scale this is exactly the sample covariance.
+    Given a column scale, x (n x 1) against y (n x k) yields all k covariances.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
+    if x.shape[0] != y.shape[0]:
         raise ValueError(f"samples differ in length: {x.shape} vs {y.shape}")
     return 0.25 * (scale(x + y) ** 2 - scale(x - y) ** 2)
 
@@ -96,11 +107,9 @@ def _ogk_scores(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     U = np.eye(p)
     for j in range(p - 1):
-        col = Y[:, j : j + 1]
-        rest = Y[:, j + 1 :]
-        _, s_plus = median_mad(col + rest, axis=0)
-        _, s_minus = median_mad(col - rest, axis=0)
-        U[j, j + 1 :] = 0.25 * (s_plus**2 - s_minus**2)
+        U[j, j + 1 :] = ogk_pairwise_cov(
+            Y[:, j : j + 1], Y[:, j + 1 :], scale=lambda v: median_mad(v, axis=0)[1]
+        )
         U[j + 1 :, j] = U[j, j + 1 :]
 
     _, E = sym_eigen(U)
@@ -122,22 +131,6 @@ def ogk_estimate(X) -> LocationScatter:
     A = d[:, None] * E
     scatter = (A * gamma) @ A.T
     return LocationScatter(location=A @ nu, scatter=(scatter + scatter.T) / 2.0)
-
-
-def _ogk_eigenspace_distances(X) -> np.ndarray:
-    """Robust distances in the OGK eigenvector space, no matrix inversion.
-
-    Equals the Mahalanobis distance under the OGK estimate whenever that
-    scatter is nonsingular, but stays computable for p >= n. Coordinates
-    with zero spread carry no distance information and are skipped.
-    """
-    _, _, Z = _ogk_scores(X)
-    nu, sigma = median_mad(Z, axis=0)
-    keep = sigma > 0.0
-    if not keep.any():
-        raise ValueError("all eigenvector coordinates have zero spread")
-    R = (Z[:, keep] - nu[keep]) / sigma[keep]
-    return np.sqrt((R**2).sum(axis=1))
 
 
 def ogk_reweight(X, est: LocationScatter, beta: float = 0.9) -> LocationScatter:
@@ -167,25 +160,21 @@ def ogk_detect(X, alpha: float, beta: float = 0.9) -> DetectionResult:
 
     For n > p the estimate is refined by the hard-rejection step and
     distances come from the refined scatter. For wide matrices (p >= n) the
-    refinement needs more rows than exist, so the distances are taken in the
-    eigenvector space directly. Convenience composition used by the command
-    line and the benchmark harness.
+    refinement needs more rows than exist, so the eigenvector scores are
+    robustly sphered and the distances are their row norms: the Mahalanobis
+    distance under the OGK estimate, skipping coordinates with zero spread.
+    Convenience composition used by the command line and the benchmark harness.
     """
     X = np.asarray(X, dtype=float)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     n, p = X.shape
     if n > p:
-        est = ogk_reweight(X, ogk_estimate(X), beta=beta)
-        dist = robust_distances(X, est)
+        dist = robust_distances(X, ogk_reweight(X, ogk_estimate(X), beta=beta))
     else:
-        dist = _ogk_eigenspace_distances(X)
-    med = float(np.median(dist))
-    if med <= 0.0:
-        raise ValueError("median robust distance is zero; distances are degenerate")
-    dist = dist * (math.sqrt(chi2_quantile(0.5, p)) / med)
-    cutoff = math.sqrt(chi2_quantile(1.0 - alpha, p))
-    return DetectionResult(distances=dist, cutoff=cutoff, flags=dist > cutoff, method="ogk")
+        Zs, _ = robust_sphere(_ogk_scores(X)[2])
+        dist = np.sqrt((Zs**2).sum(axis=1))
+    return _chi2_cut(transform_distances(dist, p).transformed, p, alpha, "ogk")
 
 
 def _unit_rows(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,11 +241,5 @@ def sign2_detect(X, alpha: float, variance_threshold: float = 0.99) -> Detection
         raise ValueError("all projected score columns have zero MAD")
     Zs = Z[:, keep] / sc[keep]
     p_star = Zs.shape[1]
-
-    raw = np.sqrt((Zs**2).sum(axis=1))
-    med = float(np.median(raw))
-    if med <= 0.0:
-        raise ValueError("median score distance is zero; distances are degenerate")
-    dist = raw * (math.sqrt(chi2_quantile(0.5, p_star)) / med)
-    cutoff = math.sqrt(chi2_quantile(1.0 - alpha, p_star))
-    return DetectionResult(distances=dist, cutoff=cutoff, flags=dist > cutoff, method="sign2")
+    dist = transform_distances(np.sqrt((Zs**2).sum(axis=1)), p_star).transformed
+    return _chi2_cut(dist, p_star, alpha, "sign2")

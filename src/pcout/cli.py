@@ -131,6 +131,16 @@ def _write(text: str, path: str | None):
             fh.write(text)
 
 
+def _write_document(doc: dict, fmt: str, path: str | None):
+    _write(document_to_json(doc) if fmt == "json" else document_to_csv(doc), path)
+
+
+def _check_level(flag: str, value: float | None):
+    """The shared range check of --alpha and --beta."""
+    if value is not None and not 0.0 < value < 1.0:
+        raise ConfigError(f"{flag} must be in (0, 1), got {value}")
+
+
 def _flag_handle(method: str, alpha: float | None):
     """Detector handle for the simulation harness, at the default tuning."""
     run = _RUNNERS[method]
@@ -139,10 +149,8 @@ def _flag_handle(method: str, alpha: float | None):
 
 
 def _cmd_detect(args) -> int:
-    if args.alpha is not None and not 0.0 < args.alpha < 1.0:
-        raise ConfigError(f"--alpha must be in (0, 1), got {args.alpha}")
-    if args.beta is not None and not 0.0 < args.beta < 1.0:
-        raise ConfigError(f"--beta must be in (0, 1), got {args.beta}")
+    _check_level("--alpha", args.alpha)
+    _check_level("--beta", args.beta)
     if args.method == "prcmpout" and args.alpha is not None:
         raise ConfigError("--alpha does not apply to the prcmpout method")
     set_overrides = [n for n in _DETECTOR_FIELDS if getattr(args, n) is not None]
@@ -166,7 +174,7 @@ def _cmd_detect(args) -> int:
     else:
         doc, kind = detection_result_document(dm, result, config_echo), "distance_index"
 
-    _write(document_to_json(doc) if args.format == "json" else document_to_csv(doc), args.output)
+    _write_document(doc, args.format, args.output)
     if args.plot_data is not None:
         _write(emit_plot_data(doc, kind), args.plot_data)
     elapsed = time.perf_counter() - start
@@ -190,6 +198,9 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 def _cmd_sweep(args) -> int:
     if args.method == "prcmpout" and args.alpha is not None:
         raise ConfigError("--alpha does not apply to the prcmpout method")
+    _check_level("--alpha", args.alpha)
+    if args.replications < 1:
+        raise ConfigError(f"--replications must be positive, got {args.replications}")
     alpha = None
     if args.method != "prcmpout":
         alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
@@ -214,19 +225,20 @@ def _cmd_sweep(args) -> int:
     rows = evalsim.dimension_sweep(
         handle, p_values, args.replications, base_spec, detector_name=args.method, alpha=alpha
     )
-    text = (
-        evalsim.sweep_to_csv(rows)
-        if args.format == "csv"
-        else evalsim.sweep_to_json(rows, base_spec)
-    )
-    _write(text, args.output)
+    doc = evalsim.document(base_spec, rows)
+    _write_document(doc, args.format, args.output)
     if args.plot_data is not None:
-        doc = json.loads(evalsim.sweep_to_json(rows, base_spec))
         _write(emit_plot_data(doc, "sweep_curves"), args.plot_data)
     for row in rows:
         fn = "n/a" if row.mean_fn is None else f"{row.mean_fn:.3f}"
         fp = "n/a" if row.mean_fp is None else f"{row.mean_fp:.3f}"
-        print(f"p={row.p}: mean FN {fn}, mean FP {fp}", file=sys.stderr)
+        failed = (
+            f"; {len(row.failures)} of {row.replications} replications failed, "
+            f"first: {row.failures[0]}"
+            if row.failures
+            else ""
+        )
+        print(f"p={row.p}: mean FN {fn}, mean FP {fp}{failed}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -237,18 +249,16 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
+    _check_level("--alpha", args.alpha)
+    if args.repeats < 3:
+        raise ConfigError(f"--repeats must be at least 3, got {args.repeats}")
     try:
         spec = evalsim.SimSpec(n=args.n, p=args.p, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     handles = {m: _flag_handle(m, args.alpha) for m in methods}
     rows = evalsim.time_detectors(handles, spec, repeats=args.repeats)
-    text = (
-        evalsim.timing_to_csv(rows)
-        if args.format == "csv"
-        else evalsim.timing_to_json(rows, spec)
-    )
-    _write(text, args.output)
+    _write_document(evalsim.document(spec, rows), args.format, args.output)
     for row in rows:
         print(f"{row.detector}: median {row.median_seconds:.4f}s", file=sys.stderr)
     return EXIT_OK
@@ -270,18 +280,15 @@ def _cmd_plotdata(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "detect": _cmd_detect, "sweep": _cmd_sweep, "bench": _cmd_bench, "plotdata": _cmd_plotdata,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "detect":
-            return _cmd_detect(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "plotdata":
-            return _cmd_plotdata(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"pcout: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

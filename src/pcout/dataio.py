@@ -1,8 +1,11 @@
-"""CSV ingestion, the labeled data matrix, and report/plot-data serialization.
+"""CSV ingestion, the labeled data matrix, and the writer of every output.
 
-Reports are fully deterministic: numbers are written in Python's shortest
-round-trip representation (never more than 17 significant digits) and no
-wall-clock values enter the serialized output, so identical runs produce
+Detection reports, sweep and timing documents (built by ``evalsim``) and plot
+data all leave through here: ``document_to_json`` is the one JSON writer, and
+``document_to_csv`` and ``emit_plot_data`` share one CSV writer and one cell
+formatter. Output is fully deterministic: numbers are written in Python's
+shortest round-trip representation (never more than 17 significant digits)
+and no wall-clock values enter a report, so identical runs produce
 byte-identical files. Elapsed time is a stderr affair (see the cli module).
 """
 
@@ -189,6 +192,8 @@ def document_to_json(doc: dict) -> str:
 
 
 def _csv_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -196,27 +201,31 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def document_to_csv(doc: dict) -> str:
-    """Record rows only; the header metadata lives in the JSON form."""
-    records = doc["records"]
-    if not records:
-        return ""
-    fields = list(records[0].keys())
+def _table_to_csv(fields: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
-    for rec in records:
-        writer.writerow([_csv_cell(rec[f]) for f in fields])
+    writer.writerows([_csv_cell(value) for value in row] for row in rows)
     return buf.getvalue()
+
+
+def document_to_csv(doc: dict) -> str:
+    """One line per record of a report, or per row of a sweep or timing document.
+
+    The header metadata, the spec and list-valued fields (a sweep row's
+    failures) live in the JSON form only.
+    """
+    records = doc["records"] if "records" in doc else doc["rows"]
+    if not records:
+        return ""
+    fields = [f for f, value in records[0].items() if not isinstance(value, (list, tuple))]
+    return _table_to_csv(fields, ([rec[f] for f in fields] for rec in records))
 
 
 # --------------------------------------------------------------------------
 # plot data: long-format (panel, x, y, flag) tables that reproduce the
 # figures of a run in any plotting tool
 # --------------------------------------------------------------------------
-
-PLOT_KINDS = ("distance_index", "weight_panels", "sweep_curves")
-
 
 def plot_distance_index(doc: dict) -> list[tuple]:
     """Distance-vs-index data: n rows plus one boundary row with the cutoff."""
@@ -276,23 +285,17 @@ def plot_sweep_curves(doc: dict) -> list[tuple]:
     return rows
 
 
-def plot_rows_to_csv(rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["panel", "x", "y", "flag"])
-    for panel, x, y, flag in rows:
-        writer.writerow([panel, x, _csv_cell(float(y)), flag])
-    return buf.getvalue()
+_PLOTTERS = {
+    "distance_index": plot_distance_index,
+    "weight_panels": plot_weight_panels,
+    "sweep_curves": plot_sweep_curves,
+}
+PLOT_KINDS = tuple(_PLOTTERS)
 
 
 def emit_plot_data(doc: dict, kind: str) -> str:
-    """Long-format CSV for one of the three figure kinds."""
-    if kind == "distance_index":
-        rows = plot_distance_index(doc)
-    elif kind == "weight_panels":
-        rows = plot_weight_panels(doc)
-    elif kind == "sweep_curves":
-        rows = plot_sweep_curves(doc)
-    else:
+    """Long-format CSV (panel, x, y, flag) for one of the three figure kinds."""
+    if kind not in _PLOTTERS:
         raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    return plot_rows_to_csv(rows)
+    rows = _PLOTTERS[kind](doc)
+    return _table_to_csv(["panel", "x", "y", "flag"], ((p, x, float(y), f) for p, x, y, f in rows))

@@ -6,15 +6,16 @@ results: inliers are i.i.d. standard normal, planted outliers get a location
 shift and an inflated identity covariance. Generation runs on a counter-based
 generator (Philox) keyed by the spec seed, so streams reproduce across
 platforms; replication r of a sweep uses seed + r.
+
+Results come back as data: ``document`` puts a sweep's or a timing run's rows
+next to the spec that generated them, and ``dataio`` writes that document as
+JSON or CSV.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from statistics import median as stat_median
 from typing import Callable, Mapping, Sequence
 
@@ -134,15 +135,15 @@ def confusion(truth, flags) -> ConfusionCounts:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Averaged error rates for one dimension of a sweep."""
+    """Averaged error rates for one dimension of a sweep, fields in output order."""
 
     p: int
+    alpha: float | None
     detector: str
     mean_fn: float | None
     mean_fp: float | None
     replications: int
     seed: int
-    alpha: float | None = None
     failures: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -225,70 +226,6 @@ def time_detectors(
     return rows
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
-    """Serialize sweep rows with the fixed header (p, alpha, detector, ...)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p", "alpha", "detector", "mean_fn", "mean_fp", "replications", "seed"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.p,
-                _fmt(row.alpha),
-                row.detector,
-                _fmt(row.mean_fn),
-                _fmt(row.mean_fp),
-                row.replications,
-                row.seed,
-            ]
-        )
-    return buf.getvalue()
-
-
-def sweep_to_json(rows: Sequence[SweepRow], base_spec: SimSpec) -> str:
-    """Serialize sweep rows plus the generating SimSpec as a JSON document."""
-    doc = {
-        "spec": base_spec.to_dict(),
-        "rows": [
-            {
-                "p": row.p,
-                "alpha": row.alpha,
-                "detector": row.detector,
-                "mean_fn": row.mean_fn,
-                "mean_fp": row.mean_fp,
-                "replications": row.replications,
-                "seed": row.seed,
-                "failures": list(row.failures),
-            }
-            for row in rows
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def timing_to_csv(rows: Sequence[TimingRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["detector", "median_seconds", "repeats"])
-    for row in rows:
-        writer.writerow([row.detector, _fmt(row.median_seconds), row.repeats])
-    return buf.getvalue()
-
-
-def timing_to_json(rows: Sequence[TimingRow], spec: SimSpec) -> str:
-    doc = {
-        "spec": spec.to_dict(),
-        "rows": [
-            {"detector": r.detector, "median_seconds": r.median_seconds, "repeats": r.repeats}
-            for r in rows
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+def document(spec: SimSpec, rows: Sequence[SweepRow] | Sequence[TimingRow]) -> dict:
+    """A sweep's or a timing run's rows beside the spec that generated them."""
+    return {"spec": spec.to_dict(), "rows": [asdict(row) for row in rows]}

@@ -13,14 +13,14 @@ import pytest
 
 from pcout.baselines import classical_detect, ogk_detect, ogk_estimate, sign2_detect
 from pcout.chisq import chi2_quantile
-from pcout.dataio import DataMatrix, document_to_json, weight_report_document
+from pcout.dataio import DataMatrix, document_to_csv, document_to_json, weight_report_document
 from pcout.evalsim import (
     REFERENCE_OUTLIER_ROWS,
     SimSpec,
     confusion,
     dimension_sweep,
+    document,
     generate_contaminated,
-    sweep_to_csv,
     time_detectors,
 )
 from pcout.prcmpout import combine_weights, detect, transform_distances
@@ -257,7 +257,9 @@ def test_criterion_11_determinism():
         n=60, p=8, outlier_indices=frozenset({1, 2, 3}), location_shift=3.0, seed=BASE_SEED
     )
     sweeps = [
-        sweep_to_csv(dimension_sweep(lambda X: detect(X).flags, [8, 16], 4, spec))
+        document_to_csv(
+            document(spec, dimension_sweep(lambda X: detect(X).flags, [8, 16], 4, spec))
+        )
         for _ in range(2)
     ]
     X, _ = generate_contaminated(spec)

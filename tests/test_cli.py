@@ -279,8 +279,41 @@ class TestSweepCommand:
             ("fn", "5"), ("fp", "5"), ("fn", "10"), ("fp", "10"),
         }
 
+    def test_plot_data_equals_plotdata_on_the_json(self, tmp_path):
+        sweep_json, direct, replot = (tmp_path / f for f in ("s.json", "direct.csv", "replot.csv"))
+        assert main(["sweep", "--method", "sign2", "--p-values", "5,10", "--replications", "2",
+                     "--n", "40", "--outlier-indices", "1,2,3", "--shift", "5.0",
+                     "--format", "json", "--output", str(sweep_json),
+                     "--plot-data", str(direct)]) == EXIT_OK
+        assert main(["plotdata", "--report", str(sweep_json), "--kind", "sweep_curves",
+                     "--output", str(replot)]) == EXIT_OK
+        assert direct.read_bytes() == replot.read_bytes()
+
+    def test_failed_replications_are_counted_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--method", "classical", "--p-values", "10,150",
+                     "--replications", "3", "--output", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text().splitlines()[2] == "150,0.05,classical,,,3,42"
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("p=10: mean FN ") and "failed" not in err[0]
+        assert err[1] == (
+            "p=150: mean FN n/a, mean FP n/a; 3 of 3 replications failed, first: p=150 rep=0: "
+            "classical detection needs n > p (got n=100, p=150); "
+            "use the prcmpout method, which handles wide matrices"
+        )
+
     def test_alpha_with_prcmpout_rejected(self):
         assert main(["sweep", "--method", "prcmpout", "--alpha", "0.05"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flags", [["--method", "ogk", "--alpha", "2"], ["--replications", "0"]]
+    )
+    def test_bad_alpha_or_replications_is_a_config_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *flags, "--p-values", "10", "--output", str(out)]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_p_values_rejected(self):
         assert main(["sweep", "--p-values", "ten"]) == EXIT_CONFIG
@@ -300,6 +333,12 @@ class TestBenchCommand:
 
     def test_unknown_method_rejected(self):
         assert main(["bench", "--methods", "mcd"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags", [["--alpha", "2"], ["--methods", "prcmpout", "--alpha", "0"],
+                                       ["--repeats", "2"]])
+    def test_bad_alpha_or_repeats_is_a_config_error(self, flags, capsys):
+        assert main(["bench", *flags, "--p", "20"]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_usage_error_exits_4(capsys):

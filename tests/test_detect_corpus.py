@@ -1,4 +1,4 @@
-"""Regression corpus for the detector.
+"""Regression corpus for the detector and the comparison baselines.
 
 Three inputs built from fixed simulation seeds cover the Gram route (p > n),
 the covariance route (n > p) and a zero-MAD column that sphering drops. The
@@ -6,6 +6,11 @@ expected values in ``data/detect_corpus.json`` were recorded from an earlier
 version of the code: flags, p* and dropped columns must match exactly, final
 weights to 1e-12. A hand check ties the report header's thresholds block to
 the chi-square quantiles and to the boundary rows of the weight panels.
+
+The classical, ogk and sign2 detectors (alpha = 0.05) are pinned on the same
+inputs: flags and cutoffs exactly, distances to 1e-12, and where a method
+rejects an input, the ValueError's message prefix. The Gram input also runs
+OGK's wide branch (p >= n), which scores in the eigenvector space.
 """
 
 import csv
@@ -17,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pcout.baselines import classical_detect, ogk_detect, sign2_detect
 from pcout.chisq import chi2_quantile
 from pcout.cli import EXIT_INPUT, main
 from pcout.dataio import DataMatrix, emit_plot_data, weight_report_document
@@ -53,6 +59,26 @@ def test_detect_matches_the_recorded_values(name):
     assert report.p_star == want["p_star"]
     assert sorted(report.dropped_columns) == want["dropped_columns"]
     assert np.abs(report.w_final - np.array(want["w_final"])).max() <= 1e-12
+
+
+BASELINES = {"classical": classical_detect, "ogk": ogk_detect, "sign2": sign2_detect}
+
+
+@pytest.mark.parametrize("method", sorted(BASELINES))
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_baselines_match_the_recorded_values(name, method):
+    want = EXPECTED[name]["baselines"][method]
+    X = _corpus_input(name)
+    if "error" in want:
+        with pytest.raises(ValueError) as info:
+            BASELINES[method](X, 0.05)
+        assert str(info.value).startswith(want["error"])
+        return
+    result = BASELINES[method](X, 0.05)
+    assert result.method == method
+    assert result.cutoff == want["cutoff"]
+    assert np.flatnonzero(result.flags).tolist() == want["flags"]
+    assert np.abs(result.distances - np.array(want["distances"])).max() <= 1e-12
 
 
 def _document(name: str) -> dict:

@@ -7,17 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pcout.baselines import classical_detect
+from pcout.dataio import document_to_csv, document_to_json
 from pcout.evalsim import (
     REFERENCE_OUTLIER_ROWS,
     SimSpec,
     TimingRow,
     confusion,
     dimension_sweep,
+    document,
     generate_contaminated,
-    sweep_to_csv,
-    sweep_to_json,
     time_detectors,
-    timing_to_csv,
 )
 
 
@@ -171,27 +170,29 @@ class TestTimeDetectors:
 
 
 class TestSerialization:
+    """Sweep and timing documents as dataio writes them."""
+
     def test_csv_header_is_exact(self):
         spec = SimSpec(n=30, p=5, outlier_indices=frozenset({1}), location_shift=9.0, seed=2)
         rows = dimension_sweep(_always_flag_far, [5], 2, spec, detector_name="norm", alpha=0.05)
-        text = sweep_to_csv(rows)
+        text = document_to_csv(document(spec, rows))
         assert text.splitlines()[0] == "p,alpha,detector,mean_fn,mean_fp,replications,seed"
         assert text.splitlines()[1].startswith("5,0.05,norm,")
 
     def test_json_embeds_the_spec(self):
         spec = SimSpec(n=30, p=5, outlier_indices=frozenset({1}), location_shift=9.0, seed=2)
         rows = dimension_sweep(_always_flag_far, [5], 2, spec)
-        doc = json.loads(sweep_to_json(rows, spec))
+        doc = json.loads(document_to_json(document(spec, rows)))
         assert doc["spec"] == spec.to_dict()
         assert doc["rows"][0]["p"] == 5
 
     def test_none_rates_serialize_as_empty_cells(self):
         spec = SimSpec(n=10, p=3, seed=1)  # no outliers: FN undefined
         rows = dimension_sweep(_always_flag_far, [3], 1, spec, detector_name="norm")
-        line = sweep_to_csv(rows).splitlines()[1]
+        line = document_to_csv(document(spec, rows)).splitlines()[1]
         assert line.split(",")[3] == ""
 
     def test_timing_csv(self):
-        text = timing_to_csv([TimingRow("norm", 0.125, 3)])
+        text = document_to_csv(document(SimSpec(n=10, p=2), [TimingRow("norm", 0.125, 3)]))
         assert text.splitlines()[0] == "detector,median_seconds,repeats"
         assert text.splitlines()[1] == "norm,0.125,3"
