@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="median wall-clock comparison of detectors")
     p_bench.add_argument("--methods", default="prcmpout,ogk", help="comma-separated method names")
-    p_bench.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p_bench.add_argument("--alpha", type=float, default=None)
     p_bench.add_argument("--n", type=int, default=100)
     p_bench.add_argument("--p", type=int, default=400)
     p_bench.add_argument("--repeats", type=int, default=5)
@@ -141,6 +141,15 @@ def _check_level(flag: str, value: float | None):
         raise ConfigError(f"{flag} must be in (0, 1), got {value}")
 
 
+def _alpha_for(methods, alpha: float | None) -> float:
+    """The --alpha to run with: range-checked, refused unless some method
+    uses it, DEFAULT_ALPHA when unset."""
+    _check_level("--alpha", alpha)
+    if alpha is not None and all(m == "prcmpout" for m in methods):
+        raise ConfigError("--alpha does not apply to the prcmpout method")
+    return DEFAULT_ALPHA if alpha is None else alpha
+
+
 def _flag_handle(method: str, alpha: float | None):
     """Detector handle for the simulation harness, at the default tuning."""
     run = _RUNNERS[method]
@@ -149,10 +158,8 @@ def _flag_handle(method: str, alpha: float | None):
 
 
 def _cmd_detect(args) -> int:
-    _check_level("--alpha", args.alpha)
+    alpha = _alpha_for([args.method], args.alpha)
     _check_level("--beta", args.beta)
-    if args.method == "prcmpout" and args.alpha is not None:
-        raise ConfigError("--alpha does not apply to the prcmpout method")
     set_overrides = [n for n in _DETECTOR_FIELDS if getattr(args, n) is not None]
     if set_overrides and args.method != "prcmpout":
         raise ConfigError(f"detector options {set_overrides} only apply to the prcmpout method")
@@ -165,7 +172,6 @@ def _cmd_detect(args) -> int:
 
     start = time.perf_counter()
     dm = load_csv(args.input)
-    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
     beta = DEFAULT_BETA if args.beta is None else args.beta
     result, settings = _RUNNERS[args.method](dm.values, alpha, beta, cfg)
     config_echo = {"input": args.input, "method": args.method, **settings}
@@ -196,14 +202,11 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _cmd_sweep(args) -> int:
-    if args.method == "prcmpout" and args.alpha is not None:
-        raise ConfigError("--alpha does not apply to the prcmpout method")
-    _check_level("--alpha", args.alpha)
+    alpha = _alpha_for([args.method], args.alpha)
+    if args.method == "prcmpout":
+        alpha = None  # the sweep rows echo no alpha for prcmpout
     if args.replications < 1:
         raise ConfigError(f"--replications must be positive, got {args.replications}")
-    alpha = None
-    if args.method != "prcmpout":
-        alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
     p_values = _parse_int_list(args.p_values, "--p-values")
     if not p_values:
         raise ConfigError("--p-values must name at least one dimension")
@@ -249,18 +252,19 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
-    _check_level("--alpha", args.alpha)
+    alpha = _alpha_for(methods, args.alpha)
     if args.repeats < 3:
         raise ConfigError(f"--repeats must be at least 3, got {args.repeats}")
     try:
         spec = evalsim.SimSpec(n=args.n, p=args.p, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    handles = {m: _flag_handle(m, args.alpha) for m in methods}
+    handles = {m: _flag_handle(m, alpha) for m in methods}
     rows = evalsim.time_detectors(handles, spec, repeats=args.repeats)
     _write_document(evalsim.document(spec, rows), args.format, args.output)
     for row in rows:
-        print(f"{row.detector}: median {row.median_seconds:.4f}s", file=sys.stderr)
+        timing = f"failed: {row.failures[0]}" if row.failures else f"median {row.median_seconds:.4f}s"
+        print(f"{row.detector}: {timing}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -39,7 +39,7 @@ class SimSpec:
     n: int
     p: int
     outlier_indices: frozenset[int] = frozenset()
-    location_shift: float | tuple[float, ...] = 0.0
+    location_shift: float = 0.0
     scatter_factor: float = 1.0
     seed: int = DEFAULT_SEED
 
@@ -54,39 +54,17 @@ class SimSpec:
         if idx and (min(idx) < 1 or max(idx) > self.n):
             raise ValueError(f"outlier indices must lie in 1..{self.n}")
         object.__setattr__(self, "outlier_indices", idx)
-        if isinstance(self.location_shift, (tuple, list, np.ndarray)):
-            shift = tuple(float(v) for v in self.location_shift)
-            if len(shift) != self.p:
-                raise ValueError(
-                    f"location_shift has length {len(shift)}, expected p={self.p}"
-                )
-            object.__setattr__(self, "location_shift", shift)
-        else:
-            object.__setattr__(self, "location_shift", float(self.location_shift))
-
-    def shift_vector(self) -> np.ndarray:
-        if isinstance(self.location_shift, tuple):
-            return np.array(self.location_shift, dtype=float)
-        return np.full(self.p, self.location_shift, dtype=float)
+        object.__setattr__(self, "location_shift", float(self.location_shift))
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "outlier_indices": sorted(self.outlier_indices),
-            "location_shift": list(self.location_shift)
-            if isinstance(self.location_shift, tuple)
-            else self.location_shift,
-            "scatter_factor": self.scatter_factor,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "outlier_indices": sorted(self.outlier_indices)}
 
 
 def generate_contaminated(spec: SimSpec) -> tuple[np.ndarray, np.ndarray]:
     """Draw one contaminated data set and its ground-truth outlier labels.
 
     Inlier rows are standard normal; rows listed in the spec (1-based) are
-    shifted by the location vector and scaled by sqrt(scatter_factor).
+    scaled by sqrt(scatter_factor), then shifted by location_shift everywhere.
     Identical specs yield bit-identical matrices.
     """
     rng = np.random.Generator(np.random.Philox(spec.seed))
@@ -95,7 +73,7 @@ def generate_contaminated(spec: SimSpec) -> tuple[np.ndarray, np.ndarray]:
     if spec.outlier_indices:
         rows = np.array(sorted(spec.outlier_indices), dtype=int) - 1
         truth[rows] = True
-        X[rows] = spec.shift_vector() + np.sqrt(spec.scatter_factor) * X[rows]
+        X[rows] = spec.location_shift + np.sqrt(spec.scatter_factor) * X[rows]
     return X, truth
 
 
@@ -197,11 +175,12 @@ def dimension_sweep(
 
 @dataclass(frozen=True)
 class TimingRow:
-    """Median wall-clock seconds for one detector."""
+    """Median wall-clock seconds for one detector; None if it failed (see failures)."""
 
     detector: str
-    median_seconds: float
+    median_seconds: float | None
     repeats: int
+    failures: tuple[str, ...] = field(default_factory=tuple)
 
 
 def time_detectors(
@@ -210,19 +189,24 @@ def time_detectors(
     """Median of `repeats` timed runs per detector on one shared data set.
 
     Data generation happens once, outside the timed region; the clock is
-    monotonic and the median is reported to resist scheduler noise.
+    monotonic and the median is reported to resist scheduler noise. A
+    detector that fails is recorded on its row, as in dimension_sweep, and
+    not timed further.
     """
     if repeats < 3:
         raise ValueError(f"need at least 3 repeats, got {repeats}")
     X, _ = generate_contaminated(spec)
     rows = []
     for name, fn in detectors.items():
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn(X)
-            times.append(time.perf_counter() - start)
-        rows.append(TimingRow(detector=name, median_seconds=stat_median(times), repeats=repeats))
+        times, failures = [], ()
+        try:
+            for _ in range(repeats):
+                start = time.perf_counter()
+                fn(X)
+                times.append(time.perf_counter() - start)
+        except Exception as exc:  # recorded per detector, not fatal
+            failures = (str(exc),)
+        rows.append(TimingRow(name, None if failures else stat_median(times), repeats, failures))
     return rows
 
 

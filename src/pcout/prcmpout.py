@@ -76,7 +76,6 @@ class DistanceSet:
 
     raw: np.ndarray
     transformed: np.ndarray
-    df: int
     m_cut: float | None = None
     c_cut: float | None = None
 
@@ -108,7 +107,7 @@ def transform_distances(raw, df: int) -> DistanceSet:
     if med <= 0.0:
         raise ValueError("median of distances is zero; distances are degenerate")
     factor = math.sqrt(chi2_quantile(0.5, df)) / med
-    return DistanceSet(raw=raw, transformed=raw * factor, df=int(df))
+    return DistanceSet(raw=raw, transformed=raw * factor)
 
 
 def translated_biweight(d, M: float, c: float):
@@ -137,8 +136,8 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
     full-weight distance quantile, c at median + multiplier * MAD.
     """
     Zs = np.asarray(Zs, dtype=float)
-    n, p_star = Zs.shape
-    kurt = np.array([robust_kurtosis_weight(Zs[:, j]) for j in range(p_star)])
+    p_star = Zs.shape[1]
+    kurt = robust_kurtosis_weight(Zs)
     total = kurt.sum()
     if total > 0.0:
         rel = kurt / total
@@ -202,7 +201,7 @@ def detect(X, cfg: DetectorConfig = DetectorConfig()) -> WeightReport:
         raise ValueError("non-finite values in data matrix")
 
     try:
-        Xs, scale_params = robust_sphere(X)
+        Xs, dropped = robust_sphere(X)
     except ValueError as exc:
         raise ValueError(f"sphering failed: {exc}") from exc
 
@@ -237,5 +236,5 @@ def detect(X, cfg: DetectorConfig = DetectorConfig()) -> WeightReport:
         kurtosis_weights=kurt,
         flags=flags,
         p_star=Zs.shape[1],
-        dropped_columns=scale_params.dropped_columns,
+        dropped_columns=dropped,
     )

@@ -8,8 +8,6 @@ the standard deviation at the normal distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Consistency factor for the MAD at the normal distribution.
@@ -105,26 +103,12 @@ def l1_median(X, tol: float = 1e-10, max_iter: int = 500) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
-class ScaleParams:
-    """Per-column medians and MADs plus the set of dropped (MAD = 0) columns."""
-
-    medians: np.ndarray
-    mads: np.ndarray
-    dropped_columns: frozenset[int]
-
-    @property
-    def kept_columns(self) -> np.ndarray:
-        p = self.medians.shape[0]
-        return np.array([j for j in range(p) if j not in self.dropped_columns], dtype=int)
-
-
-def robust_sphere(X) -> tuple[np.ndarray, ScaleParams]:
+def robust_sphere(X) -> tuple[np.ndarray, frozenset[int]]:
     """Standardize each column to median 0 and MAD 1; drop MAD-zero columns.
 
     Returns the transformed matrix restricted to the retained columns and the
-    ScaleParams recording medians, MADs, and which columns were dropped.
-    Raises if fewer than two rows are given or every column has zero MAD.
+    indices of the dropped columns. Raises if fewer than two rows are given or
+    every column has zero MAD.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -134,20 +118,27 @@ def robust_sphere(X) -> tuple[np.ndarray, ScaleParams]:
     medians, mads = median_mad(X, axis=0)
     keep = mads > 0.0
     if not keep.any():
-        raise ValueError("all columns have zero MAD; nothing to analyze")
-    dropped = frozenset(int(j) for j in np.flatnonzero(~keep))
+        raise ValueError(
+            "all columns have zero MAD; nothing to analyze (a column has zero MAD when at "
+            "least half its values are equal, for example duplicated rows)"
+        )
     Xs = (X[:, keep] - medians[keep]) / mads[keep]
-    return Xs, ScaleParams(medians=medians, mads=mads, dropped_columns=dropped)
+    return Xs, frozenset(int(j) for j in np.flatnonzero(~keep))
 
 
-def robust_kurtosis_weight(values) -> float:
+def robust_kurtosis_weight(Z):
     """Absolute robust excess kurtosis: |mean((z - med)^4) / MAD^4 - 3|.
 
-    Near zero for normal samples; inflated by both heavy and clipped tails,
-    which is why the absolute value is taken.
+    One value for a 1-D sample, one per column for a matrix. Near zero for
+    normal samples; inflated by both heavy and clipped tails, which is why
+    the absolute value is taken.
     """
-    z = _as_sample(values)
-    med, scale = median_mad(z)
-    if scale == 0.0:
+    # column-major, so each column's mean sums in the same order as a 1-D sample's
+    Z = np.asfortranarray(Z, dtype=float)
+    if Z.size == 0:
+        raise ValueError("empty sample")
+    med, scale = median_mad(Z, axis=0)
+    if np.any(scale == 0.0):
         raise ValueError("zero MAD; kurtosis weight undefined")
-    return float(abs(np.mean(((z - med) / scale) ** 4) - 3.0))
+    kurt = np.abs(np.mean(((Z - med) / scale) ** 4, axis=0) - 3.0)
+    return float(kurt) if Z.ndim == 1 else kurt

@@ -15,6 +15,8 @@ import numpy as np
 
 # relative threshold below which an eigenvalue is treated as numerically zero
 _RANK_TOL = 1e-12
+# relative asymmetry sym_eigen tolerates before it refuses a matrix
+_SYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,50 +59,23 @@ def _canonicalize_signs(V: np.ndarray) -> np.ndarray:
     return V * signs
 
 
-def sym_eigen(C, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigen(C) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (nonincreasing) and orthonormal eigenvectors of symmetric C.
 
     Works for any symmetric matrix, indefinite ones included; clamping of
     roundoff-negative eigenvalues happens where a covariance is expected
-    (see pca_basis). Raises if C is asymmetric beyond `tol` relative to its
-    magnitude.
+    (see pca_basis). Raises if C is asymmetric beyond _SYMMETRY_TOL relative
+    to its magnitude.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {C.shape}")
     scale = max(1.0, float(np.abs(C).max()))
-    if float(np.abs(C - C.T).max()) > tol * scale:
+    if float(np.abs(C - C.T).max()) > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     w, V = np.linalg.eigh((C + C.T) / 2.0)
     order = np.argsort(w)[::-1]
     return w[order], _canonicalize_signs(V[:, order])
-
-
-def gram_eigen(Xc) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero eigenpairs of Xc'Xc/(n-1) computed from the n x n Gram matrix.
-
-    Xc must be column-centered. Returns at most n - 1 eigenpairs; eigenvectors
-    are mapped back to p-space and renormalized.
-    """
-    Xc = np.asarray(Xc, dtype=float)
-    if Xc.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {Xc.shape}")
-    if not np.all(np.isfinite(Xc)):
-        raise ValueError("non-finite values in matrix")
-    n = Xc.shape[0]
-    if n < 2:
-        raise ValueError("gram route needs at least 2 rows")
-    G = Xc @ Xc.T / (n - 1)
-    w, U = np.linalg.eigh((G + G.T) / 2.0)
-    order = np.argsort(w)[::-1]
-    w = np.clip(w[order], 0.0, None)
-    U = U[:, order]
-    nonzero = w > _RANK_TOL * max(float(w[0]), 1.0) if w.size else np.zeros(0, bool)
-    w = w[nonzero]
-    V = Xc.T @ U[:, nonzero]
-    norms = np.sqrt((V**2).sum(axis=0))
-    V = V / norms
-    return w, _canonicalize_signs(V)
 
 
 def retain_components(eigenvalues, threshold: float, max_components: int | None = None) -> int:
@@ -136,10 +111,10 @@ def project(Xs, basis: PcaBasis) -> np.ndarray:
 def pca_basis(Xs, variance_threshold: float = 0.99, max_components: int | None = None) -> PcaBasis:
     """Principal-component basis of the covariance of Xs.
 
-    Routes through the Gram matrix when p > n; otherwise decomposes the p x p
-    covariance directly. Retention keeps the leading components covering
-    `variance_threshold` of total variance, capped at n - 1 (and at
-    `max_components` when given).
+    Decomposes the smaller matrix: the n x n Gram matrix Xc Xc'/(n - 1) when
+    p > n, otherwise the p x p covariance Xc'Xc/(n - 1). Retention keeps the
+    leading components covering `variance_threshold` of total variance,
+    capped at n - 1 (and at `max_components` when given).
     """
     Xs = np.asarray(Xs, dtype=float)
     if Xs.ndim != 2:
@@ -149,11 +124,14 @@ def pca_basis(Xs, variance_threshold: float = 0.99, max_components: int | None =
     total = float((Xc**2).sum()) / (n - 1)
     if total <= 0.0:
         raise ValueError("zero total variance; nothing to decompose")
+    w, V = sym_eigen((Xc @ Xc.T if p > n else Xc.T @ Xc) / (n - 1))
+    w = np.clip(w, 0.0, None)  # roundoff negatives, the matrix is a covariance or its Gram twin
     if p > n:
-        w, V = gram_eigen(Xc)
-    else:
-        w, V = sym_eigen(covariance(Xs))
-        w = np.clip(w, 0.0, None)  # roundoff negatives, the input is a covariance
+        # Gram route: the nonzero eigenpairs, mapped back to p-space and renormalized
+        nonzero = w > _RANK_TOL * max(float(w[0]), 1.0)
+        w = w[nonzero]
+        V = Xc.T @ V[:, nonzero]
+        V = _canonicalize_signs(V / np.sqrt((V**2).sum(axis=0)))
     cap = n - 1 if max_components is None else min(n - 1, max_components)
     k = retain_components(w, variance_threshold, max_components=cap)
     retained = float(w[:k].sum())

@@ -25,7 +25,7 @@ from pcout.evalsim import (
 )
 from pcout.prcmpout import combine_weights, detect, transform_distances
 from pcout.robust import l1_median
-from pcout.spectral import covariance, gram_eigen, sym_eigen
+from pcout.spectral import covariance, pca_basis, sym_eigen
 
 BASE_SEED = 42
 
@@ -203,9 +203,9 @@ def test_criterion_8_invariance_suite():
         np.abs(l1_median(W @ Q) - l1_median(W) @ Q).max() < 1e-6
     )
 
-    # Gram route agrees with the direct eigendecomposition
+    # the Gram route of pca_basis (p > n) agrees with the direct eigendecomposition
     V = rng.standard_normal((10, 50))
-    w_gram, _ = gram_eigen(V - V.mean(axis=0))
+    w_gram = pca_basis(V, 1.0).eigenvalues
     w_direct, _ = sym_eigen(covariance(V))
     rel = np.abs(w_gram - w_direct[: len(w_gram)]) / w_direct[: len(w_gram)]
     checks["gram_vs_direct"] = bool(rel.max() < 1e-6)

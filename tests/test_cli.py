@@ -177,6 +177,16 @@ class TestDetectCommand:
         code = main(["detect", "--input", str(tmp_path / "nope.csv"), "--method", "prcmpout"])
         assert code == EXIT_INPUT
 
+    def test_duplicated_rows_name_the_cause_of_zero_mad(self, tmp_path, capsys):
+        X, _ = generate_contaminated(SimSpec(n=50, p=4, seed=3))
+        X[:30] = X[0]  # 30 copies of one row: every column's median value is that row's
+        path = tmp_path / "dup.csv"
+        _write_csv(path, [f"c{j}" for j in range(4)], X.tolist())
+        assert main(["detect", "--input", str(path), "--method", "prcmpout"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "sphering failed: all columns have zero MAD; nothing to analyze" in err
+        assert "at least half its values are equal, for example duplicated rows" in err
+
     def test_alpha_out_of_range_is_a_config_error(self, normal_csv):
         code = main(
             ["detect", "--input", str(normal_csv), "--method", "classical", "--alpha", "1.5"]
@@ -331,11 +341,27 @@ class TestBenchCommand:
         assert [r["detector"] for r in rows] == ["prcmpout", "sign2"]
         assert all(float(r["median_seconds"]) > 0 for r in rows)
 
+    def test_a_failing_detector_is_recorded(self, tmp_path, capsys):
+        out_csv, out_json = tmp_path / "bench.csv", tmp_path / "bench.json"
+        for fmt, out in (("csv", out_csv), ("json", out_json)):
+            assert main(["bench", "--methods", "prcmpout,classical", "--n", "40", "--p", "60",
+                         "--repeats", "3", "--format", fmt, "--output", str(out)]) == EXIT_OK
+        lines = out_csv.read_text().splitlines()
+        assert lines[0] == "detector,median_seconds,repeats"
+        assert float(lines[1].split(",")[1]) > 0
+        assert lines[2] == "classical,,3"
+        rows = json.loads(out_json.read_text())["rows"]
+        assert rows[0]["failures"] == []
+        assert rows[1]["median_seconds"] is None
+        assert rows[1]["failures"][0].startswith("classical detection needs n > p")
+        err = capsys.readouterr().err
+        assert "classical: failed: classical detection needs n > p (got n=40, p=60)" in err
+
     def test_unknown_method_rejected(self):
         assert main(["bench", "--methods", "mcd"]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("flags", [["--alpha", "2"], ["--methods", "prcmpout", "--alpha", "0"],
-                                       ["--repeats", "2"]])
+                                       ["--repeats", "2"], ["--methods", "prcmpout", "--alpha", "0.1"]])
     def test_bad_alpha_or_repeats_is_a_config_error(self, flags, capsys):
         assert main(["bench", *flags, "--p", "20"]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err

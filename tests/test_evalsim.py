@@ -29,13 +29,11 @@ class TestSimSpec:
         with pytest.raises(ValueError):
             SimSpec(n=10, p=2, scatter_factor=0.0)
 
-    def test_shift_vector_length_checked(self):
-        with pytest.raises(ValueError):
-            SimSpec(n=10, p=3, location_shift=(1.0, 2.0))
-
     def test_scalar_shift_broadcasts(self):
-        spec = SimSpec(n=10, p=3, location_shift=1.5)
-        assert spec.shift_vector() == pytest.approx([1.5, 1.5, 1.5])
+        spec = SimSpec(n=10, p=3, outlier_indices=frozenset({2}), location_shift=1.5)
+        X, _ = generate_contaminated(spec)
+        base, _ = generate_contaminated(dataclasses.replace(spec, location_shift=0.0))
+        assert X[1] - base[1] == pytest.approx([1.5, 1.5, 1.5])
 
     def test_to_dict_round_trips_through_json(self):
         spec = SimSpec(n=100, p=10, outlier_indices=frozenset({1, 50}), location_shift=2.0, seed=7)

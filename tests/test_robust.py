@@ -130,17 +130,18 @@ class TestL1Median:
 class TestRobustSphere:
     def test_single_column_values(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
-        Xs, params = robust_sphere(X)
+        Xs, dropped = robust_sphere(X)
         expected = (X[:, 0] - 3.0) / 1.4826
         assert Xs[:, 0] == pytest.approx(expected, abs=1e-12)
-        assert params.dropped_columns == frozenset()
+        assert dropped == frozenset()
 
     def test_constant_column_dropped_and_recorded(self):
         X = np.column_stack([np.array([4.0, 4.0, 4.0, 4.0]), np.arange(4.0)])
-        Xs, params = robust_sphere(X)
+        Xs, dropped = robust_sphere(X)
         assert Xs.shape == (4, 1)
-        assert params.dropped_columns == frozenset({0})
-        assert list(params.kept_columns) == [1]
+        assert dropped == frozenset({0})
+        # column 1 sphered: median 1.5, MAD 1.4826 * median(|x - 1.5|) = 1.4826
+        assert Xs[:, 0] == pytest.approx((X[:, 1] - 1.5) / MAD_SCALE, abs=1e-12)
 
     def test_all_constant_errors(self):
         with pytest.raises(ValueError, match="nothing to analyze"):
@@ -150,8 +151,8 @@ class TestRobustSphere:
         rng = np.random.Generator(np.random.Philox(4))
         X = rng.standard_normal((30, 4)) * [1, 10, 0.1, 100] + [5, -2, 0, 7]
         Xs, _ = robust_sphere(X)
-        Xss, params = robust_sphere(Xs)
-        assert params.dropped_columns == frozenset()
+        Xss, dropped = robust_sphere(Xs)
+        assert dropped == frozenset()
         assert Xss == pytest.approx(Xs, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
@@ -188,3 +189,10 @@ class TestRobustKurtosisWeight:
     def test_zero_mad_errors(self):
         with pytest.raises(ValueError):
             robust_kurtosis_weight([1.0, 1.0, 1.0])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 300), st.integers(1, 12))
+    def test_columnwise_equals_the_per_column_calls(self, seed, n, p):
+        rng = np.random.Generator(np.random.Philox(seed))
+        Z = rng.standard_normal((n, p)) * rng.uniform(0.1, 100.0, size=p)
+        per_column = np.array([robust_kurtosis_weight(Z[:, j]) for j in range(p)])
+        assert np.array_equal(robust_kurtosis_weight(Z), per_column)

@@ -4,7 +4,6 @@ import pytest
 from pcout.spectral import (
     PcaBasis,
     covariance,
-    gram_eigen,
     pca_basis,
     project,
     retain_components,
@@ -75,21 +74,23 @@ class TestSymEigen:
 
 
 class TestGramEigen:
+    """pca_basis's Gram route (p > n), against the direct decomposition."""
+
     def test_rank_one_matrix(self):
         rng = np.random.Generator(np.random.Philox(13))
         v = rng.standard_normal(50)
         coef = rng.standard_normal((10, 1))
         Xc = coef @ v[None, :]
         Xc -= Xc.mean(axis=0)
-        w, V = gram_eigen(Xc)
-        assert len(w) == 1
-        assert V.shape == (50, 1)
+        basis = pca_basis(Xc, 1.0)
+        assert len(basis.eigenvalues) == 1
+        assert basis.eigenvectors.shape == (50, 1)
 
     def test_agrees_with_direct_route_wide(self):
         rng = np.random.Generator(np.random.Philox(14))
         X = rng.standard_normal((10, 50))
-        Xc = X - X.mean(axis=0)
-        w_gram, V_gram = gram_eigen(Xc)
+        basis = pca_basis(X, 1.0)
+        w_gram, V_gram = basis.eigenvalues, basis.eigenvectors
         w_direct, _ = sym_eigen(covariance(X))
         assert w_gram == pytest.approx(w_direct[: len(w_gram)], rel=1e-6)
         # mapped-back eigenvectors are orthonormal and satisfy C v = lambda v
@@ -101,8 +102,7 @@ class TestGramEigen:
     def test_agrees_when_n_equals_p(self):
         rng = np.random.Generator(np.random.Philox(15))
         X = rng.standard_normal((12, 12))
-        Xc = X - X.mean(axis=0)
-        w_gram, _ = gram_eigen(Xc)
+        w_gram = pca_basis(X, 1.0).eigenvalues  # n = p: the boundary, covariance route
         w_direct, _ = sym_eigen(covariance(X))
         k = len(w_gram)
         assert w_gram == pytest.approx(w_direct[:k], rel=1e-6)
