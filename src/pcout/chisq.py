@@ -9,6 +9,7 @@ bisection whenever a Newton step leaves the bracket.
 
 from __future__ import annotations
 
+import functools
 import math
 
 _EPS = 1e-15
@@ -77,6 +78,7 @@ def _chi2_pdf(x: float, df: float) -> float:
     return math.exp((a - 1.0) * math.log(x) - x / 2.0 - math.lgamma(a) - a * math.log(2.0))
 
 
+@functools.cache  # a sweep asks for the same few quantiles thousands of times
 def chi2_quantile(prob: float, df: float) -> float:
     """Inverse chi-square CDF, accurate to better than 1e-10 relative."""
     if df <= 0.0:

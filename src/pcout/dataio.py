@@ -75,54 +75,68 @@ def load_csv(path) -> DataMatrix:
     """Read a headered CSV into a DataMatrix.
 
     The first column becomes the row identifier when any of its cells fails
-    to parse as a finite number; otherwise every column is data. Constant
-    columns are kept (detectors drop and report them). Missing values are not
-    supported: any unparsable or non-finite data cell is an error naming its
-    row and column.
+    to parse as a finite number and there is more than one column; otherwise
+    every column is data. Constant columns are kept (detectors drop and
+    report them). Missing values are not supported: any unparsable or
+    non-finite data cell is an error naming its row and column; a ragged row
+    anywhere wins over it. Undecodable bytes and malformed CSV are input
+    errors too.
+
+    Rows are parsed as the reader yields them, with one NumPy conversion per
+    row that calls ``float()`` on each string: the tokens accepted and the
+    bits produced are those of ``float()``.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputDataError(f"{path}: empty file")
+            width = len(header)
+            if width == 0:
+                if next(reader, None) is None:
+                    raise InputDataError(f"{path}: no data rows below the header")
+                raise InputDataError(f"{path}: empty header row")
+            # cells past the first are data whichever way the id-column rule
+            # goes; a lone column is data
+            skip = 1 if width > 1 else 0
+            first_cells, rows, bad_row = [], [], None
+            for i, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    raise InputDataError(
+                        f"{path}: row {i} has {len(row)} fields, header has {width}"
+                    )
+                if bad_row is not None:
+                    continue
+                first_cells.append(row[0])
+                try:
+                    parsed = np.array(row[skip:], dtype=float)
+                except ValueError:
+                    parsed = None
+                if parsed is None or not np.isfinite(parsed).all():
+                    bad_row = (i, row)
+                rows.append(parsed)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
     if not rows:
-        raise InputDataError(f"{path}: empty file")
-    header, data_rows = rows[0], rows[1:]
-    if not data_rows:
         raise InputDataError(f"{path}: no data rows below the header")
-    width = len(header)
-    if width == 0:
-        raise InputDataError(f"{path}: empty header row")
-    for i, row in enumerate(data_rows, start=2):
-        if len(row) != width:
-            raise InputDataError(
-                f"{path}: row {i} has {len(row)} fields, header has {width}"
-            )
+    if bad_row is not None:
+        i, row = bad_row
+        j = next(j for j in range(skip, width) if _parse_cell(row[j]) is None)
+        raise InputDataError(
+            f"{path}: non-numeric value {row[j]!r} at row {i}, column {header[j]!r}"
+        )
 
-    first_col_numeric = all(_parse_cell(row[0]) is not None for row in data_rows)
-    id_col = not first_col_numeric and width > 1
-    start = 1 if id_col else 0
-    if width - start == 0:
-        raise InputDataError(f"{path}: no numeric data columns")
-
-    column_names = tuple(header[start:])
-    row_ids = (
-        tuple(row[0] for row in data_rows)
-        if id_col
-        else tuple(str(i) for i in range(1, len(data_rows) + 1))
-    )
-
-    values = np.empty((len(data_rows), width - start), dtype=float)
-    for i, row in enumerate(data_rows):
-        for j in range(start, width):
-            parsed = _parse_cell(row[j])
-            if parsed is None:
-                raise InputDataError(
-                    f"{path}: non-numeric value {row[j]!r} at row {i + 2}, "
-                    f"column {header[j]!r}"
-                )
-            values[i, j - start] = parsed
-    return DataMatrix(values=values, row_ids=row_ids, column_names=column_names)
+    first_values = [_parse_cell(cell) for cell in first_cells]
+    id_col = skip == 1 and None in first_values
+    values = np.vstack(rows)
+    if id_col:
+        row_ids = tuple(first_cells)
+    else:
+        row_ids = tuple(str(i) for i in range(1, len(rows) + 1))
+        if skip:
+            values = np.column_stack((first_values, values))
+    return DataMatrix(values=values, row_ids=row_ids, column_names=tuple(header[int(id_col):]))
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +78,66 @@ class TestLoadCsv:
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(InputDataError):
             load_csv(tmp_path / "absent.csv")
+
+    def test_a_ragged_row_anywhere_wins_over_a_bad_cell(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with open(path, "w") as fh:
+            fh.write("a,b\n1,x\n" + "1,2\n" * 6 + "3\n")
+        with pytest.raises(InputDataError, match="row 9 has 1 fields"):
+            load_csv(path)
+
+    def test_the_first_bad_cell_is_named_whether_non_finite_or_non_numeric(self, tmp_path):
+        path = tmp_path / "m.csv"
+        _write_csv(path, ["a", "b"], [[1, 2], [1, "inf"], [1, 2], [1, "NA"]])
+        with pytest.raises(InputDataError, match=r"'inf' at row 3, column 'b'"):
+            load_csv(path)
+
+    def test_a_non_numeric_first_cell_in_the_last_row_makes_an_id_column(self, tmp_path):
+        path = tmp_path / "m.csv"
+        _write_csv(path, ["a", "b"], [[1, 2], [3, 4], ["z", 5]])
+        dm = load_csv(path)
+        assert dm.row_ids == ("1", "3", "z")
+        assert dm.column_names == ("b",)
+        assert dm.values[:, 0].tolist() == [2.0, 4.0, 5.0]
+
+    def test_a_lone_column_is_data_not_ids(self, tmp_path):
+        path = tmp_path / "m.csv"
+        _write_csv(path, ["a"], [[1], ["x"], [2]])
+        with pytest.raises(InputDataError, match=r"non-numeric value 'x' at row 3, column 'a'"):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "1_000", " 1.5 ", "\xa02\xa0", "nan", "NaN", "+nan", "iNf", "Infinity", "1e400",
+            "1.5e-400", "-0", "１２３", "١٢٣", "0x10", "1e", "", "1__0", "_1", "1,5",
+        ],
+    )
+    def test_cells_parse_as_float_does(self, tmp_path, token):
+        path = tmp_path / "m.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["a", "b"], ["1", token]])
+        try:
+            expected = float(token)
+        except ValueError:
+            expected = None
+        if expected is None or not math.isfinite(expected):
+            with pytest.raises(InputDataError, match=rf"value {re.escape(repr(token))} at row 2"):
+                load_csv(path)
+            return
+        got = load_csv(path).values[0, 1]
+        assert np.array(got).view(np.int64) == np.array(expected).view(np.int64)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"a,b\n1,2\n3,\xff\n", b"a,b\n1," + b"1" * 140_000 + b"\n"],
+        ids=["undecodable", "field-over-the-csv-limit"],
+    )
+    def test_unreadable_csv_is_an_input_error(self, tmp_path, capsys, content):
+        path = tmp_path / "m.csv"
+        path.write_bytes(content)
+        assert main(["detect", "--input", str(path), "--method", "prcmpout"]) == EXIT_INPUT
+        assert f"cannot read {path}" in capsys.readouterr().err
 
 
 class TestDetectCommand:
