@@ -174,12 +174,13 @@ def ogk_detect(X, alpha: float, beta: float = 0.9) -> DetectionResult:
     else:
         Zs, _ = robust_sphere(_ogk_scores(X)[2])
         dist = np.sqrt((Zs**2).sum(axis=1))
-    return _chi2_cut(transform_distances(dist, p).transformed, p, alpha, "ogk")
+    return _chi2_cut(transform_distances(dist, p), p, alpha, "ogk")
 
 
 def _unit_rows(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each nonzero row of D scaled to unit norm, zero rows left zero, and
-    the mask of nonzero rows.
+    """Spatial signs of the rows of D: each nonzero row scaled to unit norm,
+    however far out it sits, and each zero row (a row at the center) left
+    zero; plus the mask of nonzero rows.
 
     Before squaring, every row is multiplied by the power of two that puts
     its largest |entry| in [0.5, 1). That cannot overflow, and because the
@@ -193,18 +194,6 @@ def _unit_rows(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     S = np.zeros_like(D)
     S[off] = Dn[off] / norms[off, None]
     return S, off
-
-
-def spatial_signs(X, center=None) -> np.ndarray:
-    """Unit vectors from a center (default: coordinatewise median) to each row.
-
-    Rows coinciding with the center get a zero vector; every other sign has
-    unit norm regardless of how far out the row sits.
-    """
-    X = np.asarray(X, dtype=float)
-    if center is None:
-        center = np.median(X, axis=0)
-    return _unit_rows(X - center)[0]
 
 
 def sign2_detect(X, alpha: float, variance_threshold: float = 0.99) -> DetectionResult:
@@ -241,5 +230,5 @@ def sign2_detect(X, alpha: float, variance_threshold: float = 0.99) -> Detection
         raise ValueError("all projected score columns have zero MAD")
     Zs = Z[:, keep] / sc[keep]
     p_star = Zs.shape[1]
-    dist = transform_distances(np.sqrt((Zs**2).sum(axis=1)), p_star).transformed
+    dist = transform_distances(np.sqrt((Zs**2).sum(axis=1)), p_star)
     return _chi2_cut(dist, p_star, alpha, "sign2")

@@ -14,6 +14,7 @@ JSON or CSV.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from statistics import median as stat_median
@@ -46,8 +47,10 @@ class SimSpec:
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
             raise ValueError(f"n and p must be positive, got n={self.n}, p={self.p}")
-        if self.scatter_factor <= 0.0:
-            raise ValueError(f"scatter_factor must be positive, got {self.scatter_factor}")
+        if not math.isfinite(self.location_shift):
+            raise ValueError(f"location_shift must be finite, got {self.location_shift}")
+        if not (math.isfinite(self.scatter_factor) and self.scatter_factor > 0.0):
+            raise ValueError(f"scatter_factor must be positive and finite, got {self.scatter_factor}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         idx = frozenset(int(i) for i in self.outlier_indices)

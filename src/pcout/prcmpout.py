@@ -23,12 +23,12 @@ The pipeline:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chisq import chi2_quantile
-from .robust import median, median_mad, quantile, robust_kurtosis_weight, robust_sphere
+from .robust import median, median_mad, quantile, robust_sphere
 from .spectral import pca_basis, project
 
 
@@ -71,13 +71,13 @@ class DetectorConfig:
 @dataclass(frozen=True)
 class DistanceSet:
     """Raw robust distances, their median-calibrated transforms, and the
-    biweight bounds (full weight up to m_cut, zero from c_cut) a stage
-    applied to them; the bounds are None until a stage sets them."""
+    biweight bounds a stage applied to them: full weight up to m_cut, zero
+    from c_cut."""
 
     raw: np.ndarray
     transformed: np.ndarray
-    m_cut: float | None = None
-    c_cut: float | None = None
+    m_cut: float
+    c_cut: float
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class WeightReport:
     dropped_columns: frozenset[int] = field(default_factory=frozenset)
 
 
-def transform_distances(raw, df: int) -> DistanceSet:
+def transform_distances(raw, df: int) -> np.ndarray:
     """Rescale distances so their median matches the chi-square median.
 
     Each entry is multiplied by sqrt(chi2_quantile(0.5, df)) / median(raw),
@@ -106,8 +106,7 @@ def transform_distances(raw, df: int) -> DistanceSet:
     med = median(raw)
     if med <= 0.0:
         raise ValueError("median of distances is zero; distances are degenerate")
-    factor = math.sqrt(chi2_quantile(0.5, df)) / med
-    return DistanceSet(raw=raw, transformed=raw * factor)
+    return raw * (math.sqrt(chi2_quantile(0.5, df)) / med)
 
 
 def translated_biweight(d, M: float, c: float):
@@ -129,23 +128,25 @@ def translated_biweight(d, M: float, c: float):
 def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarray, DistanceSet, np.ndarray]:
     """Location-outlier weights from kurtosis-weighted norms of sphered scores.
 
-    Zs must already be median/MAD-sphered per column. Each column gets an
-    absolute excess-kurtosis weight; the robust distance of a row is the
-    square root of the kurtosis-weighted average of its squared entries.
-    The returned DistanceSet carries the biweight bounds: M at the
-    full-weight distance quantile, c at median + multiplier * MAD.
+    Zs must already be median/MAD-sphered per column, so each column's
+    weight is its absolute excess kurtosis |mean(z^4) - 3|, taken on the
+    scores as given: near zero for normal scores, inflated by heavy and by
+    light tails alike. The robust distance of a row is
+    sqrt(sum_j r_j z_j^2), r the weights normalized to sum 1. The returned
+    DistanceSet carries the biweight bounds: M at the full-weight distance
+    quantile, c at median + multiplier * MAD.
     """
     Zs = np.asarray(Zs, dtype=float)
     p_star = Zs.shape[1]
-    kurt = robust_kurtosis_weight(Zs)
+    Z2 = Zs * Zs
+    kurt = np.abs(np.mean(Z2 * Z2, axis=0) - 3.0)
     total = kurt.sum()
     if total > 0.0:
         rel = kurt / total
     else:
         rel = np.full(p_star, 1.0 / p_star)  # no kurtosis signal anywhere: weight evenly
-    raw = np.sqrt(Zs**2 @ rel)
-    dset = transform_distances(raw, p_star)
-    d = dset.transformed
+    raw = np.sqrt(Z2 @ rel)
+    d = transform_distances(raw, p_star)
     m_cut = quantile(d, cfg.stage1_full_weight_fraction)
     med, spread = median_mad(d)
     c_cut = float(med + cfg.stage1_c_mad_multiplier * spread)
@@ -154,7 +155,7 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
     else:
         # all distances essentially equal: no evidence of location outliers
         w1 = (d <= m_cut).astype(float)
-    return w1, replace(dset, m_cut=m_cut, c_cut=c_cut), kurt
+    return w1, DistanceSet(raw, d, m_cut, c_cut), kurt
 
 
 def stage2_scatter(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarray, DistanceSet]:
@@ -166,11 +167,10 @@ def stage2_scatter(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarr
     Zs = np.asarray(Zs, dtype=float)
     p_star = Zs.shape[1]
     raw = np.sqrt((Zs**2).sum(axis=1))
-    dset = transform_distances(raw, p_star)
+    d = transform_distances(raw, p_star)
     m_cut = math.sqrt(chi2_quantile(cfg.stage2_m_quantile, p_star))
     c_cut = math.sqrt(chi2_quantile(cfg.stage2_c_quantile, p_star))
-    w2 = translated_biweight(dset.transformed, m_cut, c_cut)
-    return w2, replace(dset, m_cut=m_cut, c_cut=c_cut)
+    return translated_biweight(d, m_cut, c_cut), DistanceSet(raw, d, m_cut, c_cut)
 
 
 def combine_weights(w1, w2, s: float) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Order-statistics primitives: median, MAD, quantiles, the spatial (L1)
-median, robust column sphering and a robust kurtosis measure.
+median and robust column sphering.
 
 Everything here is a pure function of its inputs. Scale estimation uses the
 median absolute deviation multiplied by 1.4826, which makes it consistent for
@@ -124,21 +124,3 @@ def robust_sphere(X) -> tuple[np.ndarray, frozenset[int]]:
         )
     Xs = (X[:, keep] - medians[keep]) / mads[keep]
     return Xs, frozenset(int(j) for j in np.flatnonzero(~keep))
-
-
-def robust_kurtosis_weight(Z):
-    """Absolute robust excess kurtosis: |mean((z - med)^4) / MAD^4 - 3|.
-
-    One value for a 1-D sample, one per column for a matrix. Near zero for
-    normal samples; inflated by both heavy and clipped tails, which is why
-    the absolute value is taken.
-    """
-    # column-major, so each column's mean sums in the same order as a 1-D sample's
-    Z = np.asfortranarray(Z, dtype=float)
-    if Z.size == 0:
-        raise ValueError("empty sample")
-    med, scale = median_mad(Z, axis=0)
-    if np.any(scale == 0.0):
-        raise ValueError("zero MAD; kurtosis weight undefined")
-    kurt = np.abs(np.mean(((Z - med) / scale) ** 4, axis=0) - 3.0)
-    return float(kurt) if Z.ndim == 1 else kurt

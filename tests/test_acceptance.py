@@ -82,7 +82,7 @@ def test_criterion_3_distance_calibration():
         target = chi2_quantile(0.5, df)
         for _ in range(100):
             raw = np.abs(rng.standard_normal(100)) + 0.1
-            d = transform_distances(raw, df).transformed
+            d = transform_distances(raw, df)
             worst = max(worst, abs(float(np.median(d)) ** 2 - target))
     _criterion(3, "median-calibration invariant at 1e-10", worst < 1e-10, f"worst |err| = {worst:.2e}")
 

@@ -379,7 +379,15 @@ class TestSweepCommand:
         assert main(["sweep", "--method", "prcmpout", "--alpha", "0.05"]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "flags", [["--method", "ogk", "--alpha", "2"], ["--replications", "0"]]
+        "flags",
+        [
+            ["--method", "ogk", "--alpha", "2"],
+            ["--replications", "0"],
+            ["--shift", "nan"],
+            ["--shift", "inf"],
+            ["--scatter-factor", "nan"],
+            ["--scatter-factor", "inf"],
+        ],
     )
     def test_bad_alpha_or_replications_is_a_config_error(self, flags, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

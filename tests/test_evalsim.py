@@ -26,8 +26,12 @@ class TestSimSpec:
             SimSpec(n=10, p=2, outlier_indices=frozenset({11}))
 
     def test_scatter_factor_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SimSpec(n=10, p=2, scatter_factor=0.0)
+        for factor in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="scatter_factor"):
+                SimSpec(n=10, p=2, scatter_factor=factor)
+        for shift in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="location_shift"):
+                SimSpec(n=10, p=2, location_shift=shift)
 
     def test_scalar_shift_broadcasts(self):
         spec = SimSpec(n=10, p=3, outlier_indices=frozenset({2}), location_shift=1.5)

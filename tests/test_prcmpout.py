@@ -25,23 +25,22 @@ def _sphered_scores(X):
 
 class TestTransformDistances:
     def test_constant_vector_maps_to_chi_median(self):
-        dset = transform_distances([2.0, 2.0, 2.0], df=1)
+        d = transform_distances([2.0, 2.0, 2.0], df=1)
         expected = math.sqrt(chi2_quantile(0.5, 1))
-        assert dset.transformed == pytest.approx([expected] * 3, abs=1e-12)
+        assert d == pytest.approx([expected] * 3, abs=1e-12)
         assert expected == pytest.approx(0.67449, abs=1e-5)
 
     def test_fixed_point(self):
         target = math.sqrt(chi2_quantile(0.5, 4))
         raw = np.array([0.5, target, 2.0])
-        dset = transform_distances(raw, df=4)
-        assert dset.transformed == pytest.approx(raw, rel=1e-12)
+        assert transform_distances(raw, df=4) == pytest.approx(raw, rel=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 40]))
     def test_median_calibration_invariant(self, seed, df):
         rng = np.random.Generator(np.random.Philox(seed))
         raw = np.abs(rng.standard_normal(51)) + 0.1
-        dset = transform_distances(raw, df=df)
-        assert abs(np.median(dset.transformed) ** 2 - chi2_quantile(0.5, df)) < 1e-10
+        d = transform_distances(raw, df=df)
+        assert abs(np.median(d) ** 2 - chi2_quantile(0.5, df)) < 1e-10
 
     def test_zero_median_errors(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -99,6 +98,93 @@ class TestStage1:
         X = rng.standard_normal((n, 4))
         report = detect(X)
         assert int((report.w1 == 1.0).sum()) >= math.ceil(n / 3)
+
+    def test_four_by_three_by_hand(self):
+        """Pins the current reading of the weighted norm, sqrt(sum_j r_j z_j^2).
+
+        The open alternative is the one mvoutlier's pcout computes (as
+        recalled): scale the scores by r_j, then take row norms,
+        sqrt(sum_j (r_j z_j)^2). Computing Z2 = Zs * Zs once in stage 1 left
+        the reading as it was; choosing between the two is a separate decision.
+
+        Zs = a * U with a = 1/1.4826 and every column of U at median 0 and
+        median |u| = 1, so every column of Zs has median 0 and MAD 1.
+        """
+        a = 1.0 / 1.4826
+        U = np.array([[-1.0, -3.0, -1.0], [1.0, 1.0, 2.0], [-1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+        assert np.median(a * U, axis=0) == pytest.approx([0.0] * 3, abs=1e-15)
+        assert 1.4826 * np.median(np.abs(a * U), axis=0) == pytest.approx([1.0] * 3, rel=1e-15)
+        w1, dset, kurt = stage1_location(a * U)
+
+        # mean(u^4) per column is 1, 84/4 = 21 and 19/4
+        k = [abs(a**4 * 1.0 - 3.0), abs(a**4 * 21.0 - 3.0), abs(a**4 * 4.75 - 3.0)]
+        assert kurt == pytest.approx(k, rel=1e-12)
+        assert k == pytest.approx([2.793032, 1.346336, 2.016900], abs=1e-6)
+        r = [kj / sum(k) for kj in k]
+        assert r == pytest.approx([0.453689, 0.218694, 0.327617], abs=1e-6)
+
+        # squared rows of U: (1, 9, 1), (1, 1, 4), (1, 1, 1), (1, 1, 1)
+        raw = [a * math.sqrt(1.0 + 8.0 * r[1]), a * math.sqrt(1.0 + 3.0 * r[2]), a, a]
+        assert dset.raw == pytest.approx(raw, rel=1e-12)
+        assert raw[2] != pytest.approx(a * math.sqrt(sum(rj * rj for rj in r)), rel=1e-3)
+
+        # sorted raw is a, a, raw[1], raw[0]: the median is (a + raw[1]) / 2
+        s = math.sqrt(chi2_quantile(0.5, 3))
+        assert s * s == pytest.approx(2.365974, abs=1e-6)
+        d = [x * s / ((a + raw[1]) / 2.0) for x in raw]
+        assert dset.transformed == pytest.approx(d, rel=1e-12)
+        assert d == pytest.approx([2.118285, 1.798866, 1.277479, 1.277479], abs=1e-6)
+
+        # M: the 1/3 quantile sits at sorted index (4 - 1) / 3 = 1, the smaller d
+        m_cut = d[2]
+        # median(d) = s; |d - s| is delta = (d[1] - d[2]) / 2 for three rows
+        c_cut = s + 2.5 * 1.4826 * (d[1] - d[2]) / 2.0
+        assert dset.m_cut == pytest.approx(m_cut, rel=1e-12)
+        assert dset.c_cut == pytest.approx(c_cut, rel=1e-12)
+        assert c_cut == pytest.approx(2.504433, abs=1e-6)
+
+        bridge = [(1.0 - ((x - m_cut) / (c_cut - m_cut)) ** 2) ** 2 for x in d[:2]]
+        assert w1 == pytest.approx([*bridge, 1.0, 1.0], rel=1e-12)
+        assert bridge == pytest.approx([0.281317, 0.671453], abs=1e-6)
+
+
+class TestStage1Kurtosis:
+    """The kurtosis weights stage 1 returns, on sphered scores."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 300), st.integers(1, 12))
+    def test_matches_the_median_mad_formula(self, seed, n, p):
+        # reference: re-centre and re-scale by median/MAD before the fourth
+        # power; on sphered scores that step is the identity up to rounding
+        rng = np.random.Generator(np.random.Philox(seed))
+        X = rng.standard_t(3, size=(n, p)) * rng.uniform(0.1, 100.0, size=p)
+        X += rng.uniform(-50.0, 50.0, size=p)
+        Zs = _sphered_scores(X)
+        med = np.median(Zs, axis=0)
+        scale = 1.4826 * np.median(np.abs(Zs - med), axis=0)
+        expected = np.abs(np.mean(((Zs - med) / scale) ** 4, axis=0) - 3.0)
+        _, _, kurt = stage1_location(Zs)
+        bound = 1e-12 * np.maximum(1.0, np.mean(Zs**4, axis=0))
+        assert np.all(np.abs(kurt - expected) <= bound)
+
+    def test_three_point_sample_by_hand(self):
+        # sphered: med = 0, MAD = 1.4826, so z = +-1/1.4826 and mean z^4 = (2/3)/1.4826^4
+        expected = abs((2.0 / 3.0) / 1.4826**4 - 3.0)
+        _, _, kurt = stage1_location(_sphered_scores(np.array([[-1.0], [0.0], [1.0]])))
+        assert kurt[0] == pytest.approx(expected, abs=1e-12)
+        assert expected == pytest.approx(2.8620, abs=5e-5)
+
+    def test_near_zero_for_normal_draws(self):
+        rng = np.random.Generator(np.random.Philox(5))
+        _, _, kurt = stage1_location(_sphered_scores(rng.standard_normal((10000, 1))))
+        assert kurt[0] < 0.5
+
+    def test_gross_outlier_increases_the_weight(self):
+        rng = np.random.Generator(np.random.Philox(6))
+        base = rng.standard_normal(100)
+        with_outlier = np.append(base, 50.0)
+        _, _, k_base = stage1_location(_sphered_scores(base[:, None]))
+        _, _, k_outlier = stage1_location(_sphered_scores(with_outlier[:, None]))
+        assert k_outlier[0] > k_base[0]
 
 
 class TestStage2:

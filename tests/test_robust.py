@@ -11,7 +11,6 @@ from pcout.robust import (
     mad,
     median,
     quantile,
-    robust_kurtosis_weight,
     robust_sphere,
 )
 
@@ -167,32 +166,3 @@ class TestRobustSphere:
     def test_one_row_errors(self):
         with pytest.raises(ValueError):
             robust_sphere(np.array([[1.0, 2.0]]))
-
-
-class TestRobustKurtosisWeight:
-    def test_three_point_sample_by_hand(self):
-        # med = 0, MAD = 1.4826, mean of fourth powers = 2/3
-        expected = abs((2.0 / 3.0) / 1.4826**4 - 3.0)
-        assert robust_kurtosis_weight([-1.0, 0.0, 1.0]) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(2.8620, abs=5e-5)
-
-    def test_near_zero_for_normal_draws(self):
-        rng = np.random.Generator(np.random.Philox(5))
-        assert robust_kurtosis_weight(rng.standard_normal(10000)) < 0.5
-
-    def test_gross_outlier_increases_the_weight(self):
-        rng = np.random.Generator(np.random.Philox(6))
-        base = rng.standard_normal(100)
-        with_outlier = np.append(base, 50.0)
-        assert robust_kurtosis_weight(with_outlier) > robust_kurtosis_weight(base)
-
-    def test_zero_mad_errors(self):
-        with pytest.raises(ValueError):
-            robust_kurtosis_weight([1.0, 1.0, 1.0])
-
-    @given(st.integers(0, 2**32 - 1), st.integers(3, 300), st.integers(1, 12))
-    def test_columnwise_equals_the_per_column_calls(self, seed, n, p):
-        rng = np.random.Generator(np.random.Philox(seed))
-        Z = rng.standard_normal((n, p)) * rng.uniform(0.1, 100.0, size=p)
-        per_column = np.array([robust_kurtosis_weight(Z[:, j]) for j in range(p)])
-        assert np.array_equal(robust_kurtosis_weight(Z), per_column)
