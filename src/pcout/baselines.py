@@ -16,11 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chisq import chi2_quantile
-from .prcmpout import transform_distances
-from .robust import mad, median_mad, robust_sphere
+from .prcmpout import checked_matrix, transform_distances
+from .robust import median_mad, robust_sphere
 from .spectral import covariance, pca_basis, project, sym_eigen
 
 _SINGULAR_RTOL = 1e-12
+
+# Hard-rejection level of the OGK reweighting step.
+OGK_BETA = 0.9
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,12 @@ def robust_distances(X, est: LocationScatter) -> np.ndarray:
     return np.sqrt((Y**2 / evals).sum(axis=1))
 
 
+def _check_alpha(alpha: float):
+    """The cutoff level every comparison detector takes, in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def _chi2_cut(dist: np.ndarray, df: int, alpha: float, method: str) -> DetectionResult:
     """Flag the distances beyond sqrt(chi2(df, 1 - alpha))."""
     cutoff = math.sqrt(chi2_quantile(1.0 - alpha, df))
@@ -65,9 +74,8 @@ def classical_detect(X, alpha: float) -> DetectionResult:
 
     Requires n > p; for wider matrices use the principal-component detector.
     """
-    X = np.asarray(X, dtype=float)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    X = checked_matrix(X)
+    _check_alpha(alpha)
     n, p = X.shape
     if n <= p:
         raise ValueError(
@@ -78,12 +86,18 @@ def classical_detect(X, alpha: float) -> DetectionResult:
     return _chi2_cut(robust_distances(X, est), p, alpha, "classical")
 
 
-def ogk_pairwise_cov(x, y, scale=mad):
+def _column_mad(v):
+    """Scaled MAD of each column of v."""
+    return median_mad(v, axis=0)[1]
+
+
+def ogk_pairwise_cov(x, y, scale=_column_mad):
     """Pairwise robust covariance: quarter-difference of squared scales.
 
     cov(x, y) = (scale(x + y)^2 - scale(x - y)^2) / 4; with the classical
     standard deviation as the scale this is exactly the sample covariance.
-    Given a column scale, x (n x 1) against y (n x k) yields all k covariances.
+    The default scale is the columnwise MAD, so x (n x 1) against y (n x k)
+    yields all k covariances.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -107,9 +121,7 @@ def _ogk_scores(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     U = np.eye(p)
     for j in range(p - 1):
-        U[j, j + 1 :] = ogk_pairwise_cov(
-            Y[:, j : j + 1], Y[:, j + 1 :], scale=lambda v: median_mad(v, axis=0)[1]
-        )
+        U[j, j + 1 :] = ogk_pairwise_cov(Y[:, j : j + 1], Y[:, j + 1 :])
         U[j + 1 :, j] = U[j, j + 1 :]
 
     _, E = sym_eigen(U)
@@ -133,7 +145,7 @@ def ogk_estimate(X) -> LocationScatter:
     return LocationScatter(location=A @ nu, scatter=(scatter + scatter.T) / 2.0)
 
 
-def ogk_reweight(X, est: LocationScatter, beta: float = 0.9) -> LocationScatter:
+def ogk_reweight(X, est: LocationScatter, beta: float = OGK_BETA) -> LocationScatter:
     """Hard-rejection refinement of an OGK estimate.
 
     Squared robust distances are compared against
@@ -155,22 +167,21 @@ def ogk_reweight(X, est: LocationScatter, beta: float = 0.9) -> LocationScatter:
     return LocationScatter(location=sample.mean(axis=0), scatter=covariance(sample))
 
 
-def ogk_detect(X, alpha: float, beta: float = 0.9) -> DetectionResult:
+def ogk_detect(X, alpha: float) -> DetectionResult:
     """OGK-based detection with a median-calibrated chi-square cutoff.
 
-    For n > p the estimate is refined by the hard-rejection step and
-    distances come from the refined scatter. For wide matrices (p >= n) the
+    For n > p the estimate is refined by the hard-rejection step at OGK_BETA
+    and distances come from the refined scatter. For wide matrices (p >= n) the
     refinement needs more rows than exist, so the eigenvector scores are
     robustly sphered and the distances are their row norms: the Mahalanobis
     distance under the OGK estimate, skipping coordinates with zero spread.
     Convenience composition used by the command line and the benchmark harness.
     """
-    X = np.asarray(X, dtype=float)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    X = checked_matrix(X)
+    _check_alpha(alpha)
     n, p = X.shape
     if n > p:
-        dist = robust_distances(X, ogk_reweight(X, ogk_estimate(X), beta=beta))
+        dist = robust_distances(X, ogk_reweight(X, ogk_estimate(X)))
     else:
         Zs, _ = robust_sphere(_ogk_scores(X)[2])
         dist = np.sqrt((Zs**2).sum(axis=1))
@@ -196,7 +207,7 @@ def _unit_rows(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return S, off
 
 
-def sign2_detect(X, alpha: float, variance_threshold: float = 0.99) -> DetectionResult:
+def sign2_detect(X, alpha: float) -> DetectionResult:
     """Spatial-sign PCA detection.
 
     Rows are centered at the coordinatewise median and mapped to unit vectors
@@ -208,21 +219,16 @@ def sign2_detect(X, alpha: float, variance_threshold: float = 0.99) -> Detection
     Rows exactly at the center have no direction; they are left out of the
     sign covariance but still projected and scored.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    X = checked_matrix(X)
+    _check_alpha(alpha)
     n = X.shape[0]
-    if n < 3:
-        raise ValueError(f"need at least 3 rows, got {n}")
 
     D = X - np.median(X, axis=0)
     S, off_center = _unit_rows(D)
     if off_center.sum() < 2:
         raise ValueError("fewer than 2 rows away from the spatial center")
 
-    basis = pca_basis(S[off_center], variance_threshold, max_components=n - 1)
+    basis = pca_basis(S[off_center], max_components=n - 1)
     Z = project(D, basis)
     _, sc = median_mad(Z, axis=0)
     keep = sc > 0.0

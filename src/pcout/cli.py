@@ -38,23 +38,18 @@ EXIT_NUMERIC = 3
 EXIT_CONFIG = 4
 
 DEFAULT_ALPHA = 0.05
-DEFAULT_BETA = 0.9
 
-# method -> run(X, alpha, beta, cfg) returning (result, settings echoed in
-# the report header); alpha and beta are ignored by prcmpout, cfg by the rest
+# method -> run(X, alpha) returning (result, settings echoed in the report
+# header); prcmpout ignores alpha
 _RUNNERS = {
-    "prcmpout": lambda X, alpha, beta, cfg: (detect(X, cfg), dataclasses.asdict(cfg)),
-    "classical": lambda X, alpha, beta, cfg: (
-        baselines.classical_detect(X, alpha), {"alpha": alpha}
+    "prcmpout": lambda X, alpha: (detect(X), dataclasses.asdict(DetectorConfig())),
+    "classical": lambda X, alpha: (baselines.classical_detect(X, alpha), {"alpha": alpha}),
+    "ogk": lambda X, alpha: (
+        baselines.ogk_detect(X, alpha), {"alpha": alpha, "beta": baselines.OGK_BETA}
     ),
-    "ogk": lambda X, alpha, beta, cfg: (
-        baselines.ogk_detect(X, alpha, beta=beta), {"alpha": alpha, "beta": beta}
-    ),
-    "sign2": lambda X, alpha, beta, cfg: (baselines.sign2_detect(X, alpha), {"alpha": alpha}),
+    "sign2": lambda X, alpha: (baselines.sign2_detect(X, alpha), {"alpha": alpha}),
 }
 METHODS = tuple(_RUNNERS)
-
-_DETECTOR_FIELDS = [f.name for f in dataclasses.fields(DetectorConfig)]
 
 
 class ConfigError(ValueError):
@@ -78,14 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--input", required=True, help="CSV file with a header row")
     p_detect.add_argument("--method", required=True, choices=METHODS)
     p_detect.add_argument("--alpha", type=float, default=None, help="cutoff level for classical/ogk/sign2")
-    p_detect.add_argument(
-        "--beta", type=float, default=None, help=f"ogk reweighting level (default {DEFAULT_BETA})"
-    )
     p_detect.add_argument("--format", choices=("json", "csv"), default="json")
     p_detect.add_argument("--output", default=None, help="report path (stdout when omitted)")
     p_detect.add_argument("--plot-data", default=None, help="also write figure data to this path")
-    for name in _DETECTOR_FIELDS:
-        p_detect.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
 
     p_sweep = sub.add_parser("sweep", help="dimension sweep over simulated contamination")
     p_sweep.add_argument("--method", default="prcmpout", choices=METHODS)
@@ -135,45 +125,27 @@ def _write_document(doc: dict, fmt: str, path: str | None):
     _write(document_to_json(doc) if fmt == "json" else document_to_csv(doc), path)
 
 
-def _check_level(flag: str, value: float | None):
-    """The shared range check of --alpha and --beta."""
-    if value is not None and not 0.0 < value < 1.0:
-        raise ConfigError(f"{flag} must be in (0, 1), got {value}")
-
-
 def _alpha_for(methods, alpha: float | None) -> float:
     """The --alpha to run with: range-checked, refused unless some method
     uses it, DEFAULT_ALPHA when unset."""
-    _check_level("--alpha", alpha)
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise ConfigError(f"--alpha must be in (0, 1), got {alpha}")
     if alpha is not None and all(m == "prcmpout" for m in methods):
         raise ConfigError("--alpha does not apply to the prcmpout method")
     return DEFAULT_ALPHA if alpha is None else alpha
 
 
 def _flag_handle(method: str, alpha: float | None):
-    """Detector handle for the simulation harness, at the default tuning."""
+    """Detector handle for the simulation harness."""
     run = _RUNNERS[method]
-    cfg = DetectorConfig()
-    return lambda X: run(X, alpha, DEFAULT_BETA, cfg)[0].flags
+    return lambda X: run(X, alpha)[0].flags
 
 
 def _cmd_detect(args) -> int:
     alpha = _alpha_for([args.method], args.alpha)
-    _check_level("--beta", args.beta)
-    set_overrides = [n for n in _DETECTOR_FIELDS if getattr(args, n) is not None]
-    if set_overrides and args.method != "prcmpout":
-        raise ConfigError(f"detector options {set_overrides} only apply to the prcmpout method")
-    if args.beta is not None and args.method != "ogk":
-        raise ConfigError("--beta only applies to the ogk method")
-    try:
-        cfg = DetectorConfig(**{name: getattr(args, name) for name in set_overrides})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
     start = time.perf_counter()
     dm = load_csv(args.input)
-    beta = DEFAULT_BETA if args.beta is None else args.beta
-    result, settings = _RUNNERS[args.method](dm.values, alpha, beta, cfg)
+    result, settings = _RUNNERS[args.method](dm.values, alpha)
     config_echo = {"input": args.input, "method": args.method, **settings}
     if args.method == "prcmpout":
         doc, kind = weight_report_document(dm, result, config_echo), "weight_panels"

@@ -4,8 +4,8 @@ Stage 1 hunts location outliers with kurtosis-weighted robust distances in a
 median/MAD-sphered principal-component space; stage 2 hunts scatter outliers
 with unweighted norms in the same space. Each stage turns distances into
 weights through a translated biweight curve, and the two weights are combined
-multiplicatively. Points whose combined weight falls below the cut (default
-0.25) are flagged.
+multiplicatively. Points whose combined weight falls below the cut 0.25 are
+flagged.
 
 The pipeline:
 
@@ -28,53 +28,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chisq import chi2_quantile
-from .robust import median, median_mad, quantile, robust_sphere
+from .robust import median_mad, robust_sphere
 from .spectral import pca_basis, project
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Tuning constants of the detector; defaults follow the published method."""
+    """The published tuning constants of the detector.
 
-    variance_threshold: float = 0.99
-    scale_const_s: float = 0.25
-    outlier_cut: float = 0.25
-    stage1_full_weight_fraction: float = 1.0 / 3.0
-    stage1_c_mad_multiplier: float = 2.5
-    stage2_m_quantile: float = 0.25
-    stage2_c_quantile: float = 0.99
+    No field can be set, so every instance is equal; the class names the
+    constants in one place and ``dataclasses.asdict`` echoes them in reports.
+    """
 
-    def __post_init__(self):
-        if not 0.0 < self.variance_threshold <= 1.0:
-            raise ValueError(f"variance_threshold must be in (0, 1], got {self.variance_threshold}")
-        if self.scale_const_s < 0.0:
-            raise ValueError(f"scale_const_s must be nonnegative, got {self.scale_const_s}")
-        if not 0.0 < self.outlier_cut < 1.0:
-            raise ValueError(f"outlier_cut must be in (0, 1), got {self.outlier_cut}")
-        if not 0.0 < self.stage1_full_weight_fraction < 1.0:
-            raise ValueError(
-                f"stage1_full_weight_fraction must be in (0, 1), got {self.stage1_full_weight_fraction}"
-            )
-        if self.stage1_c_mad_multiplier <= 0.0:
-            raise ValueError(
-                f"stage1_c_mad_multiplier must be positive, got {self.stage1_c_mad_multiplier}"
-            )
-        if not 0.0 < self.stage2_m_quantile < 1.0 or not 0.0 < self.stage2_c_quantile < 1.0:
-            raise ValueError("stage-2 quantiles must be in (0, 1)")
-        if self.stage2_m_quantile >= self.stage2_c_quantile:
-            raise ValueError(
-                f"stage2_m_quantile ({self.stage2_m_quantile}) must be below "
-                f"stage2_c_quantile ({self.stage2_c_quantile})"
-            )
+    variance_threshold: float = field(default=0.99, init=False)
+    scale_const_s: float = field(default=0.25, init=False)
+    outlier_cut: float = field(default=0.25, init=False)
+    stage1_full_weight_fraction: float = field(default=1.0 / 3.0, init=False)
+    stage1_c_mad_multiplier: float = field(default=2.5, init=False)
+    stage2_m_quantile: float = field(default=0.25, init=False)
+    stage2_c_quantile: float = field(default=0.99, init=False)
 
 
 @dataclass(frozen=True)
 class DistanceSet:
-    """Raw robust distances, their median-calibrated transforms, and the
-    biweight bounds a stage applied to them: full weight up to m_cut, zero
-    from c_cut."""
+    """Median-calibrated robust distances and the biweight bounds a stage
+    applied to them: full weight up to m_cut, zero from c_cut."""
 
-    raw: np.ndarray
     transformed: np.ndarray
     m_cut: float
     c_cut: float
@@ -95,6 +74,19 @@ class WeightReport:
     dropped_columns: frozenset[int] = field(default_factory=frozenset)
 
 
+def checked_matrix(X) -> np.ndarray:
+    """The input gate of every detector: X as a float matrix with at least
+    3 rows and only finite values, or a ValueError naming what is wrong."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
+    if X.shape[0] < 3:
+        raise ValueError(f"need at least 3 rows, got {X.shape[0]}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite values in data matrix")
+    return X
+
+
 def transform_distances(raw, df: int) -> np.ndarray:
     """Rescale distances so their median matches the chi-square median.
 
@@ -103,7 +95,7 @@ def transform_distances(raw, df: int) -> np.ndarray:
     weights are calibrated against.
     """
     raw = np.asarray(raw, dtype=float)
-    med = median(raw)
+    med = float(np.median(raw))
     if med <= 0.0:
         raise ValueError("median of distances is zero; distances are degenerate")
     return raw * (math.sqrt(chi2_quantile(0.5, df)) / med)
@@ -112,8 +104,8 @@ def transform_distances(raw, df: int) -> np.ndarray:
 def translated_biweight(d, M: float, c: float):
     """Weight curve: 1 inside M, 0 beyond c, smooth biweight bridge between.
 
-    w(d) = (1 - ((d - M)/(c - M))^2)^2 on M < d < c. Accepts scalars or
-    arrays; requires c > M >= 0.
+    w(d) = (1 - ((d - M)/(c - M))^2)^2 on M < d < c. Returns an array shaped
+    like d; requires c > M >= 0.
     """
     if not c > M:
         raise ValueError(f"biweight needs c > M, got M={M}, c={c}")
@@ -121,8 +113,7 @@ def translated_biweight(d, M: float, c: float):
         raise ValueError(f"biweight needs M >= 0, got M={M}")
     d = np.asarray(d, dtype=float)
     u = (d - M) / (c - M)
-    w = np.where(d <= M, 1.0, np.where(d >= c, 0.0, (1.0 - np.clip(u, 0.0, 1.0) ** 2) ** 2))
-    return float(w) if w.ndim == 0 else w
+    return np.where(d <= M, 1.0, np.where(d >= c, 0.0, (1.0 - np.clip(u, 0.0, 1.0) ** 2) ** 2))
 
 
 def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarray, DistanceSet, np.ndarray]:
@@ -145,9 +136,8 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
         rel = kurt / total
     else:
         rel = np.full(p_star, 1.0 / p_star)  # no kurtosis signal anywhere: weight evenly
-    raw = np.sqrt(Z2 @ rel)
-    d = transform_distances(raw, p_star)
-    m_cut = quantile(d, cfg.stage1_full_weight_fraction)
+    d = transform_distances(np.sqrt(Z2 @ rel), p_star)
+    m_cut = float(np.quantile(d, cfg.stage1_full_weight_fraction))
     med, spread = median_mad(d)
     c_cut = float(med + cfg.stage1_c_mad_multiplier * spread)
     if c_cut > m_cut:
@@ -155,7 +145,7 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
     else:
         # all distances essentially equal: no evidence of location outliers
         w1 = (d <= m_cut).astype(float)
-    return w1, DistanceSet(raw, d, m_cut, c_cut), kurt
+    return w1, DistanceSet(d, m_cut, c_cut), kurt
 
 
 def stage2_scatter(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarray, DistanceSet]:
@@ -166,11 +156,10 @@ def stage2_scatter(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarr
     """
     Zs = np.asarray(Zs, dtype=float)
     p_star = Zs.shape[1]
-    raw = np.sqrt((Zs**2).sum(axis=1))
-    d = transform_distances(raw, p_star)
+    d = transform_distances(np.sqrt((Zs**2).sum(axis=1)), p_star)
     m_cut = math.sqrt(chi2_quantile(cfg.stage2_m_quantile, p_star))
     c_cut = math.sqrt(chi2_quantile(cfg.stage2_c_quantile, p_star))
-    return translated_biweight(d, m_cut, c_cut), DistanceSet(raw, d, m_cut, c_cut)
+    return translated_biweight(d, m_cut, c_cut), DistanceSet(d, m_cut, c_cut)
 
 
 def combine_weights(w1, w2, s: float) -> np.ndarray:
@@ -191,15 +180,8 @@ def detect(X, cfg: DetectorConfig = DetectorConfig()) -> WeightReport:
     weights and flags (final weight strictly below cfg.outlier_cut), plus the
     retained dimension and the dropped zero-MAD columns.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
+    X = checked_matrix(X)
     n = X.shape[0]
-    if n < 3:
-        raise ValueError(f"need at least 3 rows, got {n}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite values in data matrix")
-
     try:
         Xs, dropped = robust_sphere(X)
     except ValueError as exc:

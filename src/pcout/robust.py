@@ -1,5 +1,5 @@
-"""Order-statistics primitives: median, MAD, quantiles, the spatial (L1)
-median and robust column sphering.
+"""Order-statistics primitives: median/MAD, the spatial (L1) median and
+robust column sphering.
 
 Everything here is a pure function of its inputs. Scale estimation uses the
 median absolute deviation multiplied by 1.4826, which makes it consistent for
@@ -14,20 +14,6 @@ import numpy as np
 MAD_SCALE = 1.4826
 
 
-def _as_sample(values) -> np.ndarray:
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1:
-        x = x.ravel()
-    if x.size == 0:
-        raise ValueError("empty sample")
-    return x
-
-
-def median(values) -> float:
-    """Sample median; for even n, the mean of the two central order statistics."""
-    return float(np.median(_as_sample(values)))
-
-
 def median_mad(X, axis=None):
     """Median and scaled MAD (median absolute deviation times 1.4826).
 
@@ -36,24 +22,6 @@ def median_mad(X, axis=None):
     """
     med = np.median(X, axis=axis)
     return med, MAD_SCALE * np.median(np.abs(X - med), axis=axis)
-
-
-def mad(values) -> float:
-    """Median absolute deviation about the median, scaled by 1.4826."""
-    return float(median_mad(_as_sample(values))[1])
-
-
-def quantile(values, prob: float) -> float:
-    """Empirical quantile with linear interpolation between order statistics.
-
-    The interpolation rule is fixed project-wide: with sorted values
-    x_(1) <= ... <= x_(n), the quantile at probability q is taken at fractional
-    index h = (n - 1) * q, interpolating linearly between the two bracketing
-    order statistics. quantile(x, 0.5) coincides with median(x).
-    """
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError(f"quantile probability must be in [0, 1], got {prob}")
-    return float(np.quantile(_as_sample(values), prob, method="linear"))
 
 
 def l1_median(X, tol: float = 1e-10, max_iter: int = 500) -> np.ndarray:

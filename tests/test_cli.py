@@ -221,19 +221,26 @@ class TestDetectCommand:
         )
         assert code == EXIT_CONFIG
 
-    def test_detector_override_with_classical_is_a_config_error(self, normal_csv):
-        code = main(
-            ["detect", "--input", str(normal_csv), "--method", "classical",
-             "--alpha", "0.05", "--outlier-cut", "0.3"]
-        )
-        assert code == EXIT_CONFIG
-
-    def test_beta_only_applies_to_ogk(self, normal_csv):
-        code = main(
-            ["detect", "--input", str(normal_csv), "--method", "sign2",
-             "--alpha", "0.05", "--beta", "0.9"]
-        )
-        assert code == EXIT_CONFIG
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "variance-threshold",
+            "scale-const-s",
+            "outlier-cut",
+            "stage1-full-weight-fraction",
+            "stage1-c-mad-multiplier",
+            "stage2-m-quantile",
+            "stage2-c-quantile",
+            "beta",
+        ],
+    )
+    def test_tuning_flags_do_not_exist(self, normal_csv, flag, capsys):
+        # every method runs at its published constants, which the header echoes
+        method = "ogk" if flag == "beta" else "prcmpout"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["detect", "--input", str(normal_csv), "--method", method, f"--{flag}", "0.5"])
+        assert excinfo.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: --{flag} 0.5" in capsys.readouterr().err
 
     def test_missing_input_exits_2(self, tmp_path):
         code = main(["detect", "--input", str(tmp_path / "nope.csv"), "--method", "prcmpout"])
@@ -254,15 +261,6 @@ class TestDetectCommand:
             ["detect", "--input", str(normal_csv), "--method", "classical", "--alpha", "1.5"]
         )
         assert code == EXIT_CONFIG
-
-    def test_override_changes_the_outcome(self, normal_csv, tmp_path):
-        out = tmp_path / "r.json"
-        main(
-            ["detect", "--input", str(normal_csv), "--method", "prcmpout",
-             "--outlier-cut", "0.9", "--output", str(out)]
-        )
-        doc = json.loads(out.read_text())
-        assert doc["header"]["config"]["outlier_cut"] == 0.9
 
 
 class TestPlotData:
