@@ -242,6 +242,14 @@ class TestDetectCommand:
         assert excinfo.value.code == EXIT_CONFIG
         assert f"unrecognized arguments: --{flag} 0.5" in capsys.readouterr().err
 
+    def test_detector_override_with_classical_is_a_config_error(self, normal_csv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["detect", "--input", str(normal_csv), "--method", "classical",
+                 "--alpha", "0.05", "--outlier-cut", "0.3"]
+            )
+        assert excinfo.value.code == EXIT_CONFIG
+
     def test_missing_input_exits_2(self, tmp_path):
         code = main(["detect", "--input", str(tmp_path / "nope.csv"), "--method", "prcmpout"])
         assert code == EXIT_INPUT
