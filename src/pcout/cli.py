@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
 
-import numpy as np
-
 from . import baselines, evalsim
 from .dataio import (
-    DataMatrix,
     InputDataError,
     PLOT_KINDS,
     detection_result_document,
@@ -58,13 +56,13 @@ class ConfigError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; those are configuration
-    # problems under this tool's exit-code contract
+    # problems under this tool's exit-code contract, returned by main
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+        raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pcout", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,8 +260,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"pcout: configuration error: {exc}", file=sys.stderr)

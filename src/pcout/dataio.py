@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+import os
+import pickle
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +75,141 @@ def _parse_cell(token: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+# A body smaller than this parses in one range, in process: a fork and a
+# pickled result would cost more than the second core saves on it.
+_PARALLEL_FLOOR = 1 << 20
+_SCAN_BLOCK = 1 << 20
+
+
+def _text(stream) -> io.TextIOWrapper:
+    return io.TextIOWrapper(stream, encoding="utf-8", newline="")
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, stop) of an open file, read with ``os.pread``, so that
+    processes sharing the descriptor share no file offset."""
+
+    def __init__(self, fd: int, start: int, stop: int):
+        self._fd, self._pos, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = os.pread(self._fd, min(len(buf), self._stop - self._pos), self._pos)
+        buf[: len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+
+def _after_line_end(fd: int, offset: int, size: int) -> int:
+    """The offset just past the first ``"\\n"`` at or after ``offset``, or ``size``."""
+    while offset < size:
+        block = os.pread(fd, _SCAN_BLOCK, offset)
+        if not block:
+            break
+        if b"\n" in block:
+            return offset + block.index(b"\n") + 1
+        offset += len(block)
+    return size
+
+
+def _range_bounds(fd: int) -> list[int] | None:
+    """Record-aligned byte offsets ``[0, c1, ..., size]``, at most one range
+    per core, or None when the file parses in one range.
+
+    Each cut follows a ``"\\n"``: in a file without a quote byte every record
+    ends at a line end, so no record and no UTF-8 sequence straddles a cut.
+    The first range holds the header.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    st = os.fstat(fd)
+    size = st.st_size
+    if cores < 2 or not hasattr(os, "fork") or not stat.S_ISREG(st.st_mode):
+        return None
+    if size < _PARALLEL_FLOOR:  # the body is smaller still
+        return None
+    for offset in range(0, size, _SCAN_BLOCK):
+        if b'"' in os.pread(fd, _SCAN_BLOCK, offset):
+            return None
+    body = _after_line_end(fd, 0, size)
+    if size - body < _PARALLEL_FLOOR:
+        return None
+    bounds = [0]
+    for k in range(1, cores):
+        cut = _after_line_end(fd, body + (size - body) * k // cores, size)
+        if bounds[-1] < cut < size:
+            bounds.append(cut)
+    bounds.append(size)
+    return bounds if len(bounds) > 2 else None
+
+
+def _parse_rows(text, width: int, skip: int) -> tuple:
+    """Parse the records of one range, stopping at its first structural fault.
+
+    Returns ``(records, first_cells, rows, fault, bad)``. Row numbers count
+    from 1 at the range's first record. ``fault`` is ``(row, fields)`` for a
+    ragged row or the text of a read error. ``bad`` is ``(row, cells)`` for
+    the first row with an unparsable or non-finite data cell; past it, rows
+    are only counted and checked for width.
+    """
+    first_cells, rows, fault, bad = [], [], None, None
+    records = 0
+    try:
+        for records, row in enumerate(csv.reader(text), start=1):
+            if len(row) != width:
+                fault = (records, len(row))
+                break
+            if bad is not None:
+                continue
+            first_cells.append(row[0])
+            try:
+                parsed = np.array(row[skip:], dtype=float)
+            except ValueError:
+                parsed = None
+            if parsed is None or not np.isfinite(parsed).all():
+                bad = (records, row)
+            rows.append(parsed)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        fault = str(exc)
+    return records, first_cells, rows, fault, bad
+
+
+def _fork_range(fd: int, start: int, stop: int, width: int, skip: int) -> tuple[int, int]:
+    """Parse bytes [start, stop) in a forked child.
+
+    Returns the child's pid and the read end of the pipe that carries its
+    pickled ``_parse_rows`` result, its rows stacked into one block. The
+    child runs no BLAS and leaves through ``os._exit``, so the parent's
+    threads and unflushed buffers are never used or written twice.
+    """
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            records, first_cells, rows, fault, bad = _parse_rows(
+                _text(_ByteRange(fd, start, stop)), width, skip
+            )
+            rows = [np.vstack(rows)] if rows and fault is None and bad is None else []
+            with open(w, "wb") as out:
+                pickle.dump((records, first_cells, rows, fault, bad), out, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _join(pid: int, r: int) -> tuple | None:
+    """A child's result, or None when it did not exit cleanly; the child is reaped either way."""
+    with open(r, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    return pickle.loads(data) if status == 0 else None
+
+
 def load_csv(path) -> DataMatrix:
     """Read a headered CSV into a DataMatrix.
 
@@ -85,10 +224,19 @@ def load_csv(path) -> DataMatrix:
     Rows are parsed as the reader yields them, with one NumPy conversion per
     row that calls ``float()`` on each string: the tokens accepted and the
     bits produced are those of ``float()``.
+
+    A large regular file with no quote byte is cut into record-aligned byte
+    ranges, one per available core. This process parses the first and a
+    forked child each other. The results join in file order, so the matrix
+    and ids are those of a one-range parse; the first structural fault in
+    file order wins, and errors number rows in the whole file.
     """
+    children = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        with open(path, "rb") as fh:
+            bounds = _range_bounds(fh.fileno())
+            text = _text(fh if bounds is None else _ByteRange(fh.fileno(), 0, bounds[1]))
+            reader = csv.reader(text)
             header = next(reader, None)
             if header is None:
                 raise InputDataError(f"{path}: empty file")
@@ -100,40 +248,45 @@ def load_csv(path) -> DataMatrix:
             # cells past the first are data whichever way the id-column rule
             # goes; a lone column is data
             skip = 1 if width > 1 else 0
-            first_cells, rows, bad_row = [], [], None
-            for i, row in enumerate(reader, start=2):
-                if len(row) != width:
-                    raise InputDataError(
-                        f"{path}: row {i} has {len(row)} fields, header has {width}"
-                    )
-                if bad_row is not None:
-                    continue
-                first_cells.append(row[0])
-                try:
-                    parsed = np.array(row[skip:], dtype=float)
-                except ValueError:
-                    parsed = None
-                if parsed is None or not np.isfinite(parsed).all():
-                    bad_row = (i, row)
-                rows.append(parsed)
+            try:
+                for start, stop in zip(bounds[1:-1], bounds[2:]) if bounds else ():
+                    children.append(_fork_range(fh.fileno(), start, stop, width, skip))
+                parts = [_parse_rows(text, width, skip)]
+            finally:
+                child_parts = [_join(pid, r) for pid, r in children]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise InputDataError(f"{path}: no data rows below the header")
-    if bad_row is not None:
-        i, row = bad_row
-        j = next(j for j in range(skip, width) if _parse_cell(row[j]) is None)
-        raise InputDataError(
-            f"{path}: non-numeric value {row[j]!r} at row {i}, column {header[j]!r}"
-        )
+    if any(part is None for part in child_parts):
+        raise ChildProcessError(f"a process parsing part of {path} did not finish")
+    parts += child_parts
 
+    # rows above each part, the header's included; the last is the file's
+    above = list(itertools.accumulate((part[0] for part in parts), initial=1))
+    for before, (_, _, _, fault, _) in zip(above, parts):
+        if isinstance(fault, str):
+            raise InputDataError(f"cannot read {path}: {fault}")
+        if fault is not None:
+            raise InputDataError(
+                f"{path}: row {before + fault[0]} has {fault[1]} fields, header has {width}"
+            )
+    if above[-1] == 1:
+        raise InputDataError(f"{path}: no data rows below the header")
+    for before, (_, _, _, _, bad) in zip(above, parts):
+        if bad is not None:
+            i, cells = bad
+            j = next(j for j in range(skip, width) if _parse_cell(cells[j]) is None)
+            raise InputDataError(
+                f"{path}: non-numeric value {cells[j]!r} at row {before + i}, column {header[j]!r}"
+            )
+
+    first_cells = [cell for part in parts for cell in part[1]]
     first_values = [_parse_cell(cell) for cell in first_cells]
     id_col = skip == 1 and None in first_values
-    values = np.vstack(rows)
+    values = np.vstack([block for part in parts for block in part[2]])
     if id_col:
         row_ids = tuple(first_cells)
     else:
-        row_ids = tuple(str(i) for i in range(1, len(rows) + 1))
+        row_ids = tuple(str(i) for i in range(1, len(first_cells) + 1))
         if skip:
             values = np.column_stack((first_values, values))
     return DataMatrix(values=values, row_ids=row_ids, column_names=tuple(header[int(id_col):]))

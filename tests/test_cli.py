@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
 
+from pcout import dataio
 from pcout.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from pcout.dataio import InputDataError, load_csv
 from pcout.evalsim import SimSpec, generate_contaminated
@@ -139,6 +142,129 @@ class TestLoadCsv:
         assert main(["detect", "--input", str(path), "--method", "prcmpout"]) == EXIT_INPUT
         assert f"cannot read {path}" in capsys.readouterr().err
 
+    @staticmethod
+    def _force_ranges(monkeypatch, cores):
+        """Lift the size floor and claim ``cores`` cores, so that load_csv cuts
+        any unquoted file with line breaks in its body; returns a list that
+        grows by one per fork."""
+        made, real_fork = [], os.fork
+
+        def fork():
+            made.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(dataio, "_PARALLEL_FLOOR", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(os, "fork", fork)
+        return made
+
+    @staticmethod
+    def _rows(n, seed=4):
+        rng = np.random.default_rng(seed)
+        return [[repr(float(v)) for v in row] for row in rng.standard_normal((n, 4)) * 1e3]
+
+    @pytest.mark.parametrize(
+        "ids, newline",
+        [(True, "\n"), (False, "\r\n"), (False, "\n"), ("last", "\n")],
+        ids=["id-column", "crlf", "lone-cr", "id-in-the-last-range"],
+    )
+    def test_ranges_join_to_the_one_range_parse(self, tmp_path, monkeypatch, ids, newline):
+        rows = self._rows(30)
+        if ids is True:
+            rows = [[f"mol-{i}", *row[1:]] for i, row in enumerate(rows)]
+        if ids == "last":
+            rows[-1][0] = "z"
+        lines = [",".join(f"c{j}" for j in range(4))] + [",".join(row) for row in rows]
+        ends = [newline] * len(lines)
+        if newline == "\n":  # lone "\r" line ends inside the ranges
+            ends[3] = ends[17] = ends[25] = "\r"
+        path = tmp_path / "m.csv"
+        path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode())
+        expected = load_csv(path)
+        made = self._force_ranges(monkeypatch, 3)
+        got = load_csv(path)
+        assert len(made) == 2
+        assert (got.values.view(np.int64) == expected.values.view(np.int64)).all()
+        assert got.values.shape == expected.values.shape == (30, 4 - (ids is not False))
+        assert got.row_ids == expected.row_ids
+        assert got.column_names == expected.column_names
+
+    def _two_ranges(self, tmp_path, monkeypatch, edits):
+        # 20 rows of about equal length: the cut falls between file rows 11
+        # and 14, whatever the edits; returns the file and the fork count
+        made = self._force_ranges(monkeypatch, 2)
+        rows = [["1.25", "2.5"] for _ in range(20)]
+        for (i, j), token in edits.items():
+            rows[i - 2][j] = token
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n" + "".join(",".join(row) + "\n" for row in rows))
+        return path, made
+
+    def test_a_ragged_row_in_range_2_beats_a_bad_cell_in_range_1(self, tmp_path, monkeypatch):
+        path, made = self._two_ranges(tmp_path, monkeypatch, {(3, 1): "x"})
+        with open(path, "a") as fh:
+            fh.write("3\n" + "1.25,2.5\n" * 3)
+        with pytest.raises(InputDataError, match=r"row 22 has 1 fields, header has 2"):
+            load_csv(path)
+        assert len(made) == 1
+
+    @pytest.mark.parametrize(
+        "edits, named",
+        [({(3, 1): "x", (19, 1): "NA"}, "'x' at row 3, column 'b'"),
+         ({(19, 1): "NA", (20, 1): "inf"}, "'NA' at row 19, column 'b'")],
+        ids=["both-ranges", "range-2-only"],
+    )
+    def test_the_first_bad_cell_in_file_order_is_named(self, tmp_path, monkeypatch, edits, named):
+        path, made = self._two_ranges(tmp_path, monkeypatch, edits)
+        with pytest.raises(InputDataError, match=re.escape(f"non-numeric value {named}")):
+            load_csv(path)
+        assert len(made) == 1
+
+    def test_an_undecodable_byte_in_range_2_exits_2(self, tmp_path, monkeypatch, capsys):
+        path, made = self._two_ranges(tmp_path, monkeypatch, {})
+        path.write_bytes(path.read_bytes()[:-4] + b"\xff\n")
+        assert main(["detect", "--input", str(path), "--method", "prcmpout"]) == EXIT_INPUT
+        assert "cannot read" in capsys.readouterr().err
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("quoted", [True, False], ids=["quoted", "below-the-floor"])
+    def test_one_range_files_never_fork(self, tmp_path, monkeypatch, quoted):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork)
+        if quoted:
+            monkeypatch.setattr(dataio, "_PARALLEL_FLOOR", 0)
+        rows = [['"1.5"' if quoted and i == 5 else "1.5", "2"] for i in range(20)]
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n" + "".join(",".join(row) + "\n" for row in rows))
+        assert load_csv(path).values.shape == (20, 2)
+
+    def test_a_child_that_dies_raises_and_is_reaped(self, tmp_path, monkeypatch):
+        parent, parse = os.getpid(), dataio._parse_rows
+
+        def dying_parse(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return parse(*args)
+
+        def timeout(signum, frame):
+            raise TimeoutError("load_csv hung on a dead child")
+
+        path, _ = self._two_ranges(tmp_path, monkeypatch, {})
+        monkeypatch.setattr(dataio, "_parse_rows", dying_parse)
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(30)
+        try:
+            with pytest.raises(ChildProcessError, match="did not finish"):
+                load_csv(path)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):  # no child left, not even a zombie
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestDetectCommand:
     def test_prcmpout_json_report(self, normal_csv, tmp_path, capsys):
@@ -237,18 +363,16 @@ class TestDetectCommand:
     def test_tuning_flags_do_not_exist(self, normal_csv, flag, capsys):
         # every method runs at its published constants, which the header echoes
         method = "ogk" if flag == "beta" else "prcmpout"
-        with pytest.raises(SystemExit) as excinfo:
-            main(["detect", "--input", str(normal_csv), "--method", method, f"--{flag}", "0.5"])
-        assert excinfo.value.code == EXIT_CONFIG
+        code = main(["detect", "--input", str(normal_csv), "--method", method, f"--{flag}", "0.5"])
+        assert code == EXIT_CONFIG
         assert f"unrecognized arguments: --{flag} 0.5" in capsys.readouterr().err
 
     def test_detector_override_with_classical_is_a_config_error(self, normal_csv):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["detect", "--input", str(normal_csv), "--method", "classical",
-                 "--alpha", "0.05", "--outlier-cut", "0.3"]
-            )
-        assert excinfo.value.code == EXIT_CONFIG
+        code = main(
+            ["detect", "--input", str(normal_csv), "--method", "classical",
+             "--alpha", "0.05", "--outlier-cut", "0.3"]
+        )
+        assert code == EXIT_CONFIG
 
     def test_missing_input_exits_2(self, tmp_path):
         code = main(["detect", "--input", str(tmp_path / "nope.csv"), "--method", "prcmpout"])
@@ -444,6 +568,8 @@ class TestBenchCommand:
 
 
 def test_usage_error_exits_4(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["detect", "--method", "prcmpout"])  # --input missing
-    assert excinfo.value.code == EXIT_CONFIG
+    assert main(["detect", "--method", "prcmpout"]) == EXIT_CONFIG  # --input missing
+    assert "the following arguments are required: --input" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:  # help is not an error
+        main(["--help"])
+    assert excinfo.value.code == EXIT_OK
