@@ -4,7 +4,7 @@ Subcommands: detect (run one detector on a CSV), sweep (dimension sweep of
 averaged error rates on simulated contamination), bench (wall-clock
 comparison), plotdata (turn a saved report into long-format figure data).
 
-Exit codes: 0 success, 2 input error, 3 numeric/degeneracy error,
+Exit codes: 0 success, 2 input or output error, 3 numeric/degeneracy error,
 4 configuration error.
 """
 
@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--alpha", type=float, default=None, help="cutoff level for classical/ogk/sign2")
     p_detect.add_argument("--format", choices=("json", "csv"), default="json")
     p_detect.add_argument("--output", default=None, help="report path (stdout when omitted)")
-    p_detect.add_argument("--plot-data", default=None, help="also write figure data to this path")
 
     p_sweep = sub.add_parser("sweep", help="dimension sweep over simulated contamination")
     p_sweep.add_argument("--method", default="prcmpout", choices=METHODS)
@@ -91,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=evalsim.DEFAULT_SEED)
     p_sweep.add_argument("--format", choices=("json", "csv"), default="csv")
     p_sweep.add_argument("--output", default=None)
-    p_sweep.add_argument("--plot-data", default=None)
 
     p_bench = sub.add_parser("bench", help="median wall-clock comparison of detectors")
     p_bench.add_argument("--methods", default="prcmpout,ogk", help="comma-separated method names")
@@ -115,8 +113,11 @@ def _write(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_document(doc: dict, fmt: str, path: str | None):
@@ -145,17 +146,12 @@ def _cmd_detect(args) -> int:
     dm = load_csv(args.input)
     result, settings = _RUNNERS[args.method](dm.values, alpha)
     config_echo = {"input": args.input, "method": args.method, **settings}
-    if args.method == "prcmpout":
-        doc, kind = weight_report_document(dm, result, config_echo), "weight_panels"
-    else:
-        doc, kind = detection_result_document(dm, result, config_echo), "distance_index"
-
+    build = weight_report_document if args.method == "prcmpout" else detection_result_document
+    doc = build(dm, result, config_echo)
     _write_document(doc, args.format, args.output)
-    if args.plot_data is not None:
-        _write(emit_plot_data(doc, kind), args.plot_data)
     elapsed = time.perf_counter() - start
     print(
-        f"{args.method}: flagged {doc['header']['flagged']} of {dm.n_rows} rows "
+        f"{args.method}: flagged {doc['header']['flagged']} of {doc['header']['n']} rows "
         f"in {elapsed:.3f}s",
         file=sys.stderr,
     )
@@ -200,8 +196,6 @@ def _cmd_sweep(args) -> int:
     )
     doc = evalsim.document(base_spec, rows)
     _write_document(doc, args.format, args.output)
-    if args.plot_data is not None:
-        _write(emit_plot_data(doc, "sweep_curves"), args.plot_data)
     for row in rows:
         fn = "n/a" if row.mean_fn is None else f"{row.mean_fn:.3f}"
         fp = "n/a" if row.mean_fp is None else f"{row.mean_fp:.3f}"
@@ -273,7 +267,7 @@ def main(argv=None) -> int:
         print(f"pcout: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
-        print(f"pcout: input error: {exc}", file=sys.stderr)
+        print(f"pcout: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

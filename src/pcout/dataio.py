@@ -36,36 +36,6 @@ class DataMatrix:
     row_ids: tuple[str, ...]
     column_names: tuple[str, ...]
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "row_ids", tuple(str(r) for r in self.row_ids))
-        object.__setattr__(self, "column_names", tuple(str(c) for c in self.column_names))
-        if values.ndim != 2:
-            raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
-        if len(self.row_ids) != values.shape[0]:
-            raise ValueError("row_ids length does not match the number of rows")
-        if len(self.column_names) != values.shape[1]:
-            raise ValueError("column_names length does not match the number of columns")
-
-    @classmethod
-    def from_array(cls, values) -> "DataMatrix":
-        values = np.asarray(values, dtype=float)
-        n, p = values.shape
-        return cls(
-            values=values,
-            row_ids=tuple(str(i + 1) for i in range(n)),
-            column_names=tuple(f"x{j + 1}" for j in range(p)),
-        )
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
 
 def _parse_cell(token: str) -> float | None:
     try:
@@ -296,6 +266,23 @@ def load_csv(path) -> DataMatrix:
 # detection reports
 # --------------------------------------------------------------------------
 
+def _report(dm: DataMatrix, method: str, header: dict, **columns) -> dict:
+    """A report document: a header of ``method``, ``n`` and ``p`` followed by
+    ``header``'s entries, and one record per row holding its ``row_id`` and
+    then its value in each column, in keyword order.
+
+    Columns are whole arrays; one whose length differs from the row ids'
+    raises ValueError.
+    """
+    n, p = dm.values.shape
+    keys = ("row_id", *columns)
+    cells = (col.tolist() for col in columns.values())
+    return {
+        "header": {"method": method, "n": n, "p": p, **header},
+        "records": [dict(zip(keys, row)) for row in zip(dm.row_ids, *cells, strict=True)],
+    }
+
+
 def weight_report_document(dm: DataMatrix, report, config: dict) -> dict:
     """JSON-ready document for a PrCmpOut run: header plus one record per row.
 
@@ -304,9 +291,6 @@ def weight_report_document(dm: DataMatrix, report, config: dict) -> dict:
     """
     d1, d2 = report.stage1_distances, report.stage2_distances
     header = {
-        "method": "prcmpout",
-        "n": dm.n_rows,
-        "p": dm.n_cols,
         "p_star": report.p_star,
         "dropped_columns": sorted(report.dropped_columns),
         "dropped_column_names": [dm.column_names[j] for j in sorted(report.dropped_columns)],
@@ -317,41 +301,26 @@ def weight_report_document(dm: DataMatrix, report, config: dict) -> dict:
         },
         "config": config,
     }
-    records = [
-        {
-            "row_id": dm.row_ids[i],
-            "w1": float(report.w1[i]),
-            "w2": float(report.w2[i]),
-            "w_final": float(report.w_final[i]),
-            "stage1_distance": float(report.stage1_distances.transformed[i]),
-            "stage2_distance": float(report.stage2_distances.transformed[i]),
-            "flag": bool(report.flags[i]),
-        }
-        for i in range(dm.n_rows)
-    ]
-    return {"header": header, "records": records}
+    return _report(
+        dm, "prcmpout", header,
+        w1=report.w1, w2=report.w2, w_final=report.w_final,
+        stage1_distance=d1.transformed, stage2_distance=d2.transformed, flag=report.flags,
+    )
 
 
 def detection_result_document(dm: DataMatrix, result, config: dict) -> dict:
     """JSON-ready document for a cutoff-based run (classical, ogk, sign2)."""
     header = {
-        "method": result.method,
-        "n": dm.n_rows,
-        "p": dm.n_cols,
         "cutoff": float(result.cutoff),
         "flagged": int(np.sum(result.flags)),
         "config": config,
     }
-    records = [
-        {
-            "row_id": dm.row_ids[i],
-            "distance": float(result.distances[i]),
-            "cutoff": float(result.cutoff),
-            "flag": bool(result.flags[i]),
-        }
-        for i in range(dm.n_rows)
-    ]
-    return {"header": header, "records": records}
+    return _report(
+        dm, result.method, header,
+        distance=result.distances,
+        cutoff=np.full(len(result.distances), result.cutoff),
+        flag=result.flags,
+    )
 
 
 def document_to_json(doc: dict) -> str:

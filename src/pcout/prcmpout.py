@@ -112,8 +112,7 @@ def translated_biweight(d, M: float, c: float):
     if M < 0.0:
         raise ValueError(f"biweight needs M >= 0, got M={M}")
     d = np.asarray(d, dtype=float)
-    u = (d - M) / (c - M)
-    return np.where(d <= M, 1.0, np.where(d >= c, 0.0, (1.0 - np.clip(u, 0.0, 1.0) ** 2) ** 2))
+    return (1.0 - np.clip((d - M) / (c - M), 0.0, 1.0) ** 2) ** 2
 
 
 def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarray, DistanceSet, np.ndarray]:

@@ -13,6 +13,9 @@ import numpy as np
 # Consistency factor for the MAD at the normal distribution.
 MAD_SCALE = 1.4826
 
+_L1_TOL = 1e-10
+_L1_MAX_ITER = 500
+
 
 def median_mad(X, axis=None):
     """Median and scaled MAD (median absolute deviation times 1.4826).
@@ -24,13 +27,13 @@ def median_mad(X, axis=None):
     return med, MAD_SCALE * np.median(np.abs(X - med), axis=axis)
 
 
-def l1_median(X, tol: float = 1e-10, max_iter: int = 500) -> np.ndarray:
+def l1_median(X) -> np.ndarray:
     """Spatial median: the point minimizing the sum of Euclidean distances.
 
     Iteratively reweighted least squares (Weiszfeld iteration) with the
     standard modified step when the current iterate coincides with a data
-    point. Stops when the step norm falls below `tol` or after `max_iter`
-    iterations. Orthogonally equivariant up to the convergence tolerance.
+    point. Stops when the step norm falls below ``_L1_TOL`` or after
+    ``_L1_MAX_ITER`` iterations. Orthogonally equivariant up to the convergence tolerance.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -44,7 +47,7 @@ def l1_median(X, tol: float = 1e-10, max_iter: int = 500) -> np.ndarray:
         return X[0].copy()
 
     y = np.median(X, axis=0)
-    for _ in range(max_iter):
+    for _ in range(_L1_MAX_ITER):
         diff = X - y
         dist = np.sqrt((diff**2).sum(axis=1))
         coincident = dist < 1e-300
@@ -66,7 +69,7 @@ def l1_median(X, tol: float = 1e-10, max_iter: int = 500) -> np.ndarray:
             y_new = (1.0 - gamma) * t_tilde + gamma * y
         step = np.linalg.norm(y_new - y)
         y = y_new
-        if step < tol:
+        if step < _L1_TOL:
             break
     return y
 

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from pcout.baselines import classical_detect, ogk_detect, ogk_estimate, sign2_detect
 from pcout.chisq import chi2_quantile
@@ -263,7 +262,8 @@ def test_criterion_11_determinism():
         for _ in range(2)
     ]
     X, _ = generate_contaminated(spec)
-    dm = DataMatrix.from_array(X)
+    n, p = X.shape
+    dm = DataMatrix(X, tuple(str(i + 1) for i in range(n)), tuple(f"x{j + 1}" for j in range(p)))
     reports = [
         document_to_json(weight_report_document(dm, detect(X), {"method": "prcmpout"}))
         for _ in range(2)

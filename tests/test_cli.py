@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -9,9 +10,17 @@ import numpy as np
 import pytest
 
 from pcout import dataio
+from pcout.baselines import sign2_detect
 from pcout.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
-from pcout.dataio import InputDataError, load_csv
+from pcout.dataio import (
+    DataMatrix,
+    InputDataError,
+    detection_result_document,
+    load_csv,
+    weight_report_document,
+)
 from pcout.evalsim import SimSpec, generate_contaminated
+from pcout.prcmpout import detect
 
 
 def _write_csv(path, header, rows):
@@ -266,6 +275,19 @@ class TestLoadCsv:
             os.waitpid(-1, os.WNOHANG)
 
 
+class TestReportDocuments:
+    @pytest.mark.parametrize(
+        "build, run",
+        [(weight_report_document, detect), (detection_result_document, lambda X: sign2_detect(X, 0.05))],
+        ids=["prcmpout", "sign2"],
+    )
+    def test_one_row_id_short_raises(self, build, run):
+        X, _ = generate_contaminated(SimSpec(n=30, p=4, seed=5))
+        dm = DataMatrix(X, tuple(str(i + 1) for i in range(29)), ("a", "b", "c", "d"))
+        with pytest.raises(ValueError):
+            build(dm, run(X), {})
+
+
 class TestDetectCommand:
     def test_prcmpout_json_report(self, normal_csv, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -436,12 +458,6 @@ class TestPlotData:
         code = main(["plotdata", "--report", str(report), "--kind", "sweep_curves"])
         assert code == EXIT_INPUT
 
-    def test_detect_can_emit_plot_data_directly(self, normal_csv, tmp_path):
-        out = tmp_path / "panels.csv"
-        main(["detect", "--input", str(normal_csv), "--method", "prcmpout",
-              "--output", str(tmp_path / "r.json"), "--plot-data", str(out)])
-        assert out.exists()
-
 
 class TestSweepCommand:
     def test_csv_output_with_the_documented_header(self, tmp_path, capsys):
@@ -480,16 +496,6 @@ class TestSweepCommand:
         assert {(r["panel"], r["x"]) for r in rows} == {
             ("fn", "5"), ("fp", "5"), ("fn", "10"), ("fp", "10"),
         }
-
-    def test_plot_data_equals_plotdata_on_the_json(self, tmp_path):
-        sweep_json, direct, replot = (tmp_path / f for f in ("s.json", "direct.csv", "replot.csv"))
-        assert main(["sweep", "--method", "sign2", "--p-values", "5,10", "--replications", "2",
-                     "--n", "40", "--outlier-indices", "1,2,3", "--shift", "5.0",
-                     "--format", "json", "--output", str(sweep_json),
-                     "--plot-data", str(direct)]) == EXIT_OK
-        assert main(["plotdata", "--report", str(sweep_json), "--kind", "sweep_curves",
-                     "--output", str(replot)]) == EXIT_OK
-        assert direct.read_bytes() == replot.read_bytes()
 
     def test_failed_replications_are_counted_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -573,3 +579,37 @@ def test_usage_error_exits_4(capsys):
     with pytest.raises(SystemExit) as excinfo:  # help is not an error
         main(["--help"])
     assert excinfo.value.code == EXIT_OK
+
+
+def _small_run(command, csv_path, report_path):
+    """A quick run of one subcommand, without --output."""
+    return {
+        "detect": ["detect", "--input", str(csv_path), "--method", "prcmpout"],
+        "sweep": ["sweep", "--p-values", "5", "--replications", "2", "--n", "40",
+                  "--outlier-indices", "1,2,3"],
+        "bench": ["bench", "--methods", "prcmpout", "--p", "20", "--repeats", "3"],
+        "plotdata": ["plotdata", "--report", str(report_path), "--kind", "weight_panels"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["detect", "sweep"])
+def test_plot_data_flag_is_gone(command, normal_csv, tmp_path, capsys):
+    # figure data comes from `pcout plotdata` on a saved JSON report or sweep
+    argv = _small_run(command, normal_csv, None)
+    code = main([*argv, "--output", str(tmp_path / "out"), "--plot-data", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "unrecognized arguments: --plot-data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["detect", "sweep", "bench", "plotdata"])
+def test_an_unwritable_output_exits_2_and_names_the_path(command, normal_csv, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["detect", "--input", str(normal_csv), "--method", "prcmpout",
+                 "--output", str(report)]) == EXIT_OK
+    argv = _small_run(command, normal_csv, report)
+    out = tmp_path / "missing" / "out.csv"
+    capsys.readouterr()
+    assert main([*argv, "--output", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"pcout: cannot write {out}: {os.strerror(errno.ENOENT)}"
+    assert not out.parent.exists()

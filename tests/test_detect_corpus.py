@@ -84,7 +84,9 @@ def test_baselines_match_the_recorded_values(name, method):
 def _document(name: str) -> dict:
     X = _corpus_input(name)
     cfg = DetectorConfig()
-    return weight_report_document(DataMatrix.from_array(X), detect(X, cfg), {"outlier_cut": cfg.outlier_cut})
+    n, p = X.shape
+    dm = DataMatrix(X, tuple(str(i + 1) for i in range(n)), tuple(f"x{j + 1}" for j in range(p)))
+    return weight_report_document(dm, detect(X, cfg), {"outlier_cut": cfg.outlier_cut})
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))

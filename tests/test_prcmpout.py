@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from pcout.chisq import chi2_quantile
@@ -71,6 +71,24 @@ class TestTranslatedBiweight:
         w = translated_biweight(d, m, c)
         assert 0.0 <= w <= 1.0
         assert translated_biweight(d + 0.1, m, c) <= w + 1e-12
+
+    @given(
+        st.floats(0, 1e3, allow_nan=False),
+        st.floats(1e-12, 1e3, allow_nan=False),
+        st.lists(st.floats(-10, 2e3, allow_nan=False), max_size=20),
+    )
+    @example(0.0, 1.0, [-0.0, 0.0, -5e-324, 5e-324])
+    @example(1.0, 2.0**-52, [])  # c is the float just above M
+    @example(0.6744897501960817, 1.3, [math.inf, -math.inf])
+    def test_equals_the_three_piece_definition_bit_for_bit(self, m, gap, ds):
+        c = m + gap
+        assume(c > m)
+        # d == M, d == c and the floats next to each always go in
+        edges = [x for b in (m, c) for x in (np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf))]
+        d = np.array(ds + edges)
+        u = (d - m) / (c - m)
+        want = np.where(d <= m, 1.0, np.where(d >= c, 0.0, (1.0 - u**2) ** 2))
+        assert np.array_equal(translated_biweight(d, m, c).view(np.int64), want.view(np.int64))
 
 
 class TestStage1:
