@@ -58,9 +58,9 @@ def robust_distances(X, est: LocationScatter) -> np.ndarray:
 
 
 def _check_alpha(alpha: float):
-    """The cutoff level every comparison detector takes, in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    """The cutoff level every comparison detector takes: 1 - alpha in (0, 1)."""
+    if not 0.0 < 1.0 - alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1) with 1 - alpha below 1, got {alpha}")
 
 
 def _chi2_cut(dist: np.ndarray, df: int, alpha: float, method: str) -> DetectionResult:
@@ -174,7 +174,7 @@ def ogk_detect(X, alpha: float) -> DetectionResult:
     and distances come from the refined scatter. For wide matrices (p >= n) the
     refinement needs more rows than exist, so the eigenvector scores are
     robustly sphered and the distances are their row norms: the Mahalanobis
-    distance under the OGK estimate, skipping coordinates with zero spread.
+    distance under the OGK estimate, skipping coordinates with zero scale.
     Convenience composition used by the command line and the benchmark harness.
     """
     X = checked_matrix(X)

@@ -22,8 +22,8 @@ from .dataio import (
     InputDataError,
     PLOT_KINDS,
     detection_result_document,
+    document_json_chunks,
     document_to_csv,
-    document_to_json,
     emit_plot_data,
     load_csv,
     weight_report_document,
@@ -109,26 +109,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, path: str | None):
+def _write(path: str | None, chunks) -> None:
+    """Write the strings ``chunks`` to the file at ``path``, or to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise OSError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_document(doc: dict, fmt: str, path: str | None):
-    _write(document_to_json(doc) if fmt == "json" else document_to_csv(doc), path)
+    _write(path, document_json_chunks(doc) if fmt == "json" else [document_to_csv(doc)])
 
 
 def _alpha_for(methods, alpha: float | None) -> float:
     """The --alpha to run with: range-checked, refused unless some method
     uses it, DEFAULT_ALPHA when unset."""
-    if alpha is not None and not 0.0 < alpha < 1.0:
-        raise ConfigError(f"--alpha must be in (0, 1), got {alpha}")
+    if alpha is not None and not 0.0 < 1.0 - alpha < 1.0:  # 1 - 1e-17 rounds to 1
+        raise ConfigError(f"--alpha must be in (0, 1) with 1 - alpha below 1, got {alpha}")
     if alpha is not None and all(m == "prcmpout" for m in methods):
         raise ConfigError("--alpha does not apply to the prcmpout method")
     return DEFAULT_ALPHA if alpha is None else alpha
@@ -244,7 +245,7 @@ def _cmd_plotdata(args) -> int:
         text = emit_plot_data(doc, args.kind)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"{args.report} does not match kind {args.kind!r}: {exc}") from exc
-    _write(text, args.output)
+    _write(args.output, [text])
     return EXIT_OK
 
 

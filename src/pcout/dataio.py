@@ -1,7 +1,14 @@
 """CSV ingestion, the labeled data matrix, and the writer of every output.
 
+``load_csv`` reads in this process only. A plain file (no quote, NUL,
+0x1C-0x1F or lone carriage-return byte, no field near the csv module's size
+limit) goes to numpy's C text reader; every other file, and a plain one that
+reader does not read cleanly, goes to ``csv.reader`` and ``float()``. Both
+routes give the same matrix to the bit, and only the second raises, so error
+text does not depend on the route.
+
 Detection reports, sweep and timing documents (built by ``evalsim``) and plot
-data all leave through here: ``document_to_json`` is the one JSON writer, and
+data all leave through here: ``document_json_chunks`` is the one JSON writer, and
 ``document_to_csv`` and ``emit_plot_data`` share one CSV writer and one cell
 formatter. Output is fully deterministic: numbers are written in Python's
 shortest round-trip representation (never more than 17 significant digits)
@@ -13,12 +20,9 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
-import os
-import pickle
-import stat
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,147 +41,107 @@ class DataMatrix:
     column_names: tuple[str, ...]
 
 
-def _parse_cell(token: str) -> float | None:
+def _cell_value(token: str) -> float:
+    """``float(token)`` when that is finite, else NaN."""
     try:
         value = float(token)
     except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+        return math.nan
+    return value if math.isfinite(value) else math.nan
 
 
-# A body smaller than this parses in one range, in process: a fork and a
-# pickled result would cost more than the second core saves on it.
-_PARALLEL_FLOOR = 1 << 20
-_SCAN_BLOCK = 1 << 20
+# The csv module refuses a field over 131072 characters. Any run of at least
+# 2 * _WINDOW - 1 bytes covers an aligned window, so when every aligned window
+# holds a "," or a "\n" no field is that long.
+_WINDOW = 1 << 16
+# a quote; NUL, which Python 3.10's csv refuses; 0x1C-0x1F, which numpy's C
+# reader strips from a number and float() does not
+_REFUSED = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _text(stream) -> io.TextIOWrapper:
-    return io.TextIOWrapper(stream, encoding="utf-8", newline="")
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes [start, stop) of an open file, read with ``os.pread``, so that
-    processes sharing the descriptor share no file offset."""
-
-    def __init__(self, fd: int, start: int, stop: int):
-        self._fd, self._pos, self._stop = fd, start, stop
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        data = os.pread(self._fd, min(len(buf), self._stop - self._pos), self._pos)
-        buf[: len(data)] = data
-        self._pos += len(data)
-        return len(data)
-
-
-def _after_line_end(fd: int, offset: int, size: int) -> int:
-    """The offset just past the first ``"\\n"`` at or after ``offset``, or ``size``."""
-    while offset < size:
-        block = os.pread(fd, _SCAN_BLOCK, offset)
-        if not block:
+def _plain_body_lines(fh) -> int:
+    """The number of lines below the header when numpy's C reader reads the
+    binary file ``fh`` as the csv module and ``float()`` do, else 0: when it
+    has no ``_REFUSED`` byte, no ``"\\r"`` outside a ``"\\r\\n"`` and no
+    aligned window without a ``","`` or a ``"\\n"``. Rewinds ``fh``.
+    """
+    newlines, last, after_cr = 0, b"\n", False
+    while block := fh.read(16 * _WINDOW):
+        if any(byte in block for byte in _REFUSED) or (after_cr and block[:1] != b"\n"):
             break
-        if b"\n" in block:
-            return offset + block.index(b"\n") + 1
-        offset += len(block)
-    return size
+        after_cr = block.endswith(b"\r")
+        if b"\r" in block and block.count(b"\r") - after_cr != block.count(b"\r\n"):
+            break
+        starts = range(0, len(block) - _WINDOW + 1, _WINDOW)
+        if any(block.find(b",", i, i + _WINDOW) < 0 and block.find(b"\n", i, i + _WINDOW) < 0
+               for i in starts):
+            break
+        newlines += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+        last = block[-1:]
+    fh.seek(0)
+    return 0 if block or after_cr else max(newlines - (last == b"\n"), 0)
 
 
-def _range_bounds(fd: int) -> list[int] | None:
-    """Record-aligned byte offsets ``[0, c1, ..., size]``, at most one range
-    per core, or None when the file parses in one range.
+def _read_plain(path, width: int, skip: int, lines: int) -> tuple[list[str], np.ndarray] | None:
+    """A plain file's body through numpy's C reader, as ``_parse_rows`` returns
+    it; None unless that gave ``lines`` rows of ``width`` cells, each data
+    cell finite."""
+    first_cells = []
 
-    Each cut follows a ``"\\n"``: in a file without a quote byte every record
-    ends at a line end, so no record and no UTF-8 sequence straddles a cut.
-    The first range holds the header.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    st = os.fstat(fd)
-    size = st.st_size
-    if cores < 2 or not hasattr(os, "fork") or not stat.S_ISREG(st.st_mode):
-        return None
-    if size < _PARALLEL_FLOOR:  # the body is smaller still
-        return None
-    for offset in range(0, size, _SCAN_BLOCK):
-        if b'"' in os.pread(fd, _SCAN_BLOCK, offset):
-            return None
-    body = _after_line_end(fd, 0, size)
-    if size - body < _PARALLEL_FLOOR:
-        return None
-    bounds = [0]
-    for k in range(1, cores):
-        cut = _after_line_end(fd, body + (size - body) * k // cores, size)
-        if bounds[-1] < cut < size:
-            bounds.append(cut)
-    bounds.append(size)
-    return bounds if len(bounds) > 2 else None
+    def first(cell: str) -> float:
+        first_cells.append(cell)
+        return _cell_value(cell)
 
-
-def _parse_rows(text, width: int, skip: int) -> tuple:
-    """Parse the records of one range, stopping at its first structural fault.
-
-    Returns ``(records, first_cells, rows, fault, bad)``. Row numbers count
-    from 1 at the range's first record. ``fault`` is ``(row, fields)`` for a
-    ragged row or the text of a read error. ``bad`` is ``(row, cells)`` for
-    the first row with an unparsable or non-finite data cell; past it, rows
-    are only counted and checked for width.
-    """
-    first_cells, rows, fault, bad = [], [], None, None
-    records = 0
-    try:
-        for records, row in enumerate(csv.reader(text), start=1):
-            if len(row) != width:
-                fault = (records, len(row))
-                break
-            if bad is not None:
-                continue
-            first_cells.append(row[0])
-            try:
-                parsed = np.array(row[skip:], dtype=float)
-            except ValueError:
-                parsed = None
-            if parsed is None or not np.isfinite(parsed).all():
-                bad = (records, row)
-            rows.append(parsed)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        fault = str(exc)
-    return records, first_cells, rows, fault, bad
-
-
-def _fork_range(fd: int, start: int, stop: int, width: int, skip: int) -> tuple[int, int]:
-    """Parse bytes [start, stop) in a forked child.
-
-    Returns the child's pid and the read end of the pipe that carries its
-    pickled ``_parse_rows`` result, its rows stacked into one block. The
-    child runs no BLAS and leaves through ``os._exit``, so the parent's
-    threads and unflushed buffers are never used or written twice.
-    """
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
+    # numpy would open a path itself, decompressing by the file's extension
+    with open(path, encoding="utf-8") as body, warnings.catch_warnings():
+        # a body of blank lines reads as "no data"; the row count refuses it
+        warnings.simplefilter("ignore", UserWarning)
         try:
-            os.close(r)
-            records, first_cells, rows, fault, bad = _parse_rows(
-                _text(_ByteRange(fd, start, stop)), width, skip
+            table = np.loadtxt(
+                body, delimiter=",", skiprows=1, comments=None, encoding="utf-8", ndmin=2,
+                converters={0: first},
             )
-            rows = [np.vstack(rows)] if rows and fault is None and bad is None else []
-            with open(w, "wb") as out:
-                pickle.dump((records, first_cells, rows, fault, bad), out, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
+        except ValueError:  # a UnicodeDecodeError too
+            return None
+    if table.shape != (lines, width) or not np.isfinite(table[:, skip:]).all():
+        return None
+    return first_cells, table
 
 
-def _join(pid: int, r: int) -> tuple | None:
-    """A child's result, or None when it did not exit cleanly; the child is reaped either way."""
-    with open(r, "rb") as pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    return pickle.loads(data) if status == 0 else None
+def _parse_rows(text, path, header: list[str], skip: int) -> tuple[list[str], np.ndarray]:
+    """The body as ``csv.reader`` and ``float()`` read it: its first cells,
+    and its table with the first column through ``_cell_value``.
+
+    Rows are converted as the reader yields them. A ragged row raises at
+    once; a bad data cell is named once every row has passed the width check.
+    """
+    width = len(header)
+    first_cells, rows, bad = [], [], None
+    for i, row in enumerate(csv.reader(text), start=2):
+        if len(row) != width:
+            raise InputDataError(f"{path}: row {i} has {len(row)} fields, header has {width}")
+        if bad is not None:
+            continue
+        first_cells.append(row[0])
+        try:
+            parsed = np.array(row[skip:], dtype=float)
+        except ValueError:
+            parsed = None
+        if parsed is None or not np.isfinite(parsed).all():
+            bad = (i, row)
+        rows.append(parsed)
+    if not rows:
+        raise InputDataError(f"{path}: no data rows below the header")
+    if bad is not None:
+        i, cells = bad
+        j = next(j for j in range(skip, width) if math.isnan(_cell_value(cells[j])))
+        raise InputDataError(
+            f"{path}: non-numeric value {cells[j]!r} at row {i}, column {header[j]!r}"
+        )
+    table = np.vstack(rows)
+    if skip:
+        table = np.column_stack(([_cell_value(cell) for cell in first_cells], table))
+    return first_cells, table
 
 
 def load_csv(path) -> DataMatrix:
@@ -189,23 +153,22 @@ def load_csv(path) -> DataMatrix:
     report them). Missing values are not supported: any unparsable or
     non-finite data cell is an error naming its row and column; a ragged row
     anywhere wins over it. Undecodable bytes and malformed CSV are input
-    errors too.
+    errors too. One exception to file order: text is decoded 8 KiB at a
+    time, ahead of the reader, so an undecodable byte in the 8 KiB block
+    that ends a ragged row is reported instead of that row.
 
-    Rows are parsed as the reader yields them, with one NumPy conversion per
-    row that calls ``float()`` on each string: the tokens accepted and the
-    bits produced are those of ``float()``.
-
-    A large regular file with no quote byte is cut into record-aligned byte
-    ranges, one per available core. This process parses the first and a
-    forked child each other. The results join in file order, so the matrix
-    and ids are those of a one-range parse; the first structural fault in
-    file order wins, and errors number rows in the whole file.
+    Cells parse as ``float()`` parses them, to the same bits. A plain file
+    (see ``_plain_body_lines``) is read by numpy's C reader, whose result
+    stands only when every line below the header gave a full row of finite
+    data. Any other file, and a plain one whose result does not stand, goes
+    through ``csv.reader`` and ``float()``, the one route that raises; so the
+    matrix, the ids and every error are those of that route.
     """
-    children = []
     try:
         with open(path, "rb") as fh:
-            bounds = _range_bounds(fh.fileno())
-            text = _text(fh if bounds is None else _ByteRange(fh.fileno(), 0, bounds[1]))
+            # a pipe is read once, by the exact route
+            lines = _plain_body_lines(fh) if fh.seekable() else 0
+            text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
             reader = csv.reader(text)
             header = next(reader, None)
             if header is None:
@@ -218,48 +181,14 @@ def load_csv(path) -> DataMatrix:
             # cells past the first are data whichever way the id-column rule
             # goes; a lone column is data
             skip = 1 if width > 1 else 0
-            try:
-                for start, stop in zip(bounds[1:-1], bounds[2:]) if bounds else ():
-                    children.append(_fork_range(fh.fileno(), start, stop, width, skip))
-                parts = [_parse_rows(text, width, skip)]
-            finally:
-                child_parts = [_join(pid, r) for pid, r in children]
+            parsed = _read_plain(path, width, skip, lines) if lines else None
+            first_cells, table = parsed or _parse_rows(text, path, header, skip)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
-    if any(part is None for part in child_parts):
-        raise ChildProcessError(f"a process parsing part of {path} did not finish")
-    parts += child_parts
-
-    # rows above each part, the header's included; the last is the file's
-    above = list(itertools.accumulate((part[0] for part in parts), initial=1))
-    for before, (_, _, _, fault, _) in zip(above, parts):
-        if isinstance(fault, str):
-            raise InputDataError(f"cannot read {path}: {fault}")
-        if fault is not None:
-            raise InputDataError(
-                f"{path}: row {before + fault[0]} has {fault[1]} fields, header has {width}"
-            )
-    if above[-1] == 1:
-        raise InputDataError(f"{path}: no data rows below the header")
-    for before, (_, _, _, _, bad) in zip(above, parts):
-        if bad is not None:
-            i, cells = bad
-            j = next(j for j in range(skip, width) if _parse_cell(cells[j]) is None)
-            raise InputDataError(
-                f"{path}: non-numeric value {cells[j]!r} at row {before + i}, column {header[j]!r}"
-            )
-
-    first_cells = [cell for part in parts for cell in part[1]]
-    first_values = [_parse_cell(cell) for cell in first_cells]
-    id_col = skip == 1 and None in first_values
-    values = np.vstack([block for part in parts for block in part[2]])
-    if id_col:
-        row_ids = tuple(first_cells)
-    else:
-        row_ids = tuple(str(i) for i in range(1, len(first_cells) + 1))
-        if skip:
-            values = np.column_stack((first_values, values))
-    return DataMatrix(values=values, row_ids=row_ids, column_names=tuple(header[int(id_col):]))
+    if skip and np.isnan(table[:, 0]).any():  # some first cell is no finite number: row ids
+        return DataMatrix(table[:, 1:].copy(), tuple(first_cells), tuple(header[1:]))
+    row_ids = tuple(str(i) for i in range(1, len(table) + 1))
+    return DataMatrix(values=table, row_ids=row_ids, column_names=tuple(header))
 
 
 # --------------------------------------------------------------------------
@@ -323,8 +252,15 @@ def detection_result_document(dm: DataMatrix, result, config: dict) -> dict:
     )
 
 
+def document_json_chunks(doc: dict):
+    """The JSON text of ``doc``, indented by 2 and ending in a newline, piece
+    by piece: the command line streams it, so the text is never all held."""
+    yield from json.JSONEncoder(indent=2).iterencode(doc)
+    yield "\n"
+
+
 def document_to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return "".join(document_json_chunks(doc))
 
 
 def _csv_cell(value) -> str:

@@ -129,16 +129,19 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
     Zs = np.asarray(Zs, dtype=float)
     p_star = Zs.shape[1]
     Z2 = Zs * Zs
-    kurt = np.abs(np.mean(Z2 * Z2, axis=0) - 3.0)
-    total = kurt.sum()
+    with np.errstate(over="ignore"):  # a score past about 1e77 overflows z^4
+        kurt = np.abs(np.mean(Z2 * Z2, axis=0) - 3.0)
+    # infinite kurtoses share the weight evenly: the limit of kurt / total as they grow
+    weight = np.isinf(kurt) if np.isinf(kurt).any() else kurt
+    total = weight.sum()
     if total > 0.0:
-        rel = kurt / total
+        rel = weight / total
     else:
         rel = np.full(p_star, 1.0 / p_star)  # no kurtosis signal anywhere: weight evenly
     d = transform_distances(np.sqrt(Z2 @ rel), p_star)
     m_cut = float(np.quantile(d, cfg.stage1_full_weight_fraction))
-    med, spread = median_mad(d)
-    c_cut = float(med + cfg.stage1_c_mad_multiplier * spread)
+    med, mad = median_mad(d)
+    c_cut = float(med + cfg.stage1_c_mad_multiplier * mad)
     if c_cut > m_cut:
         w1 = translated_biweight(d, m_cut, c_cut)
     else:

@@ -49,6 +49,13 @@ class TestInputGate:
         with pytest.raises(ValueError, match=message):
             run(X)
 
+    @pytest.mark.parametrize("detector", [classical_detect, ogk_detect, sign2_detect])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1e-17])
+    def test_alpha_must_leave_a_cutoff_below_1(self, detector, alpha):
+        # 1 - 1e-17 rounds to 1: the chi-square cutoff would be infinite
+        with pytest.raises(ValueError, match=r"^alpha "):
+            detector(_with_cell(0.0), alpha)
+
 
 class TestRobustDistances:
     def test_identity_scatter_gives_euclidean_norms(self):

@@ -1,13 +1,15 @@
 import csv
+import dataclasses
 import errno
 import json
 import math
 import os
 import re
-import signal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcout import dataio
 from pcout.baselines import sign2_detect
@@ -16,11 +18,12 @@ from pcout.dataio import (
     DataMatrix,
     InputDataError,
     detection_result_document,
+    document_to_json,
     load_csv,
     weight_report_document,
 )
 from pcout.evalsim import SimSpec, generate_contaminated
-from pcout.prcmpout import detect
+from pcout.prcmpout import DetectorConfig, detect
 
 
 def _write_csv(path, header, rows):
@@ -28,6 +31,52 @@ def _write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
+
+
+# cells the two CSV routes could read differently: float()-only tokens, numbers
+# padded with bytes only numpy strips, non-finite ones, ids with spaces and "#"
+_TOKENS = [
+    "1.5", "-0", "1e3", "2.5E-2", " 1.5 ", "\t7", "6\x1d", "\x1c6", "1_000", "１２３", "\xa02\xa0",
+    "nan", "inf", "-Infinity", "1e400", "1.5e-400", "", "#", "1#2", "x", "mol 1", " id ", "0x10", "1e",
+    "9007199254740993", "0.1000000000000000055511151231257827", "2.2250738585072011e-308",
+]
+
+
+@st.composite
+def _csv_files(draw) -> bytes:
+    """A small CSV: blank lines anywhere, rows wider or narrower than the
+    header, "\n", "\r\n" or lone "\r" line ends, and a final line end or none."""
+    width = draw(st.integers(1, 4))
+    cell = st.one_of(
+        st.sampled_from(_TOKENS), st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    )
+    lines = [",".join(f"c {j}" for j in range(width))]
+    for _ in range(draw(st.integers(0, 6))):
+        n_cells = width + draw(st.sampled_from([0, 0, 0, 0, 0, 1, -1, -width]))
+        lines.append(",".join(draw(cell) for _ in range(n_cells)))
+    ends = st.sampled_from(["\n", "\r\n", "\r"]) if draw(st.booleans()) else st.just(
+        draw(st.sampled_from(["\n", "\r\n"]))
+    )
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode()
+
+
+def _exact_route(path):
+    """load_csv with numpy's C reader refused: csv.reader and float() read the body."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dataio, "_read_plain", lambda *args: None)
+        return load_csv(path)
+
+
+def _outcome(path, load=load_csv):
+    """What ``load`` makes of a file: the values' bits, the ids and the names, or the error text."""
+    try:
+        dm = load(path)
+    except InputDataError as exc:
+        return str(exc)
+    return dm.values.shape, dm.values.view(np.int64).tolist(), dm.row_ids, dm.column_names
 
 
 @pytest.fixture
@@ -142,8 +191,9 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize(
         "content",
-        [b"a,b\n1,2\n3,\xff\n", b"a,b\n1," + b"1" * 140_000 + b"\n"],
-        ids=["undecodable", "field-over-the-csv-limit"],
+        [b"a,b\n1,2\n3,\xff\n", b"a,b\n1," + b"1" * 140_000 + b"\n",
+         b"a,b\n1,0." + b"0" * 140_000 + b"1\n"],
+        ids=["undecodable", "field-over-the-csv-limit", "finite-field-over-the-csv-limit"],
     )
     def test_unreadable_csv_is_an_input_error(self, tmp_path, capsys, content):
         path = tmp_path / "m.csv"
@@ -151,21 +201,13 @@ class TestLoadCsv:
         assert main(["detect", "--input", str(path), "--method", "prcmpout"]) == EXIT_INPUT
         assert f"cannot read {path}" in capsys.readouterr().err
 
-    @staticmethod
-    def _force_ranges(monkeypatch, cores):
-        """Lift the size floor and claim ``cores`` cores, so that load_csv cuts
-        any unquoted file with line breaks in its body; returns a list that
-        grows by one per fork."""
-        made, real_fork = [], os.fork
-
-        def fork():
-            made.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(dataio, "_PARALLEL_FLOOR", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-        monkeypatch.setattr(os, "fork", fork)
-        return made
+    def test_an_undecodable_byte_just_after_a_ragged_row_wins(self, tmp_path, capsys):
+        # text is decoded 8 KiB at a time, ahead of the reader: the byte in the
+        # block that ends ragged row 3 is reported instead of that row
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"a,b\n1,2\n3\n\xff")
+        assert main(["detect", "--input", str(path), "--method", "prcmpout"]) == EXIT_INPUT
+        assert f"cannot read {path}" in capsys.readouterr().err
 
     @staticmethod
     def _rows(n, seed=4):
@@ -177,7 +219,8 @@ class TestLoadCsv:
         [(True, "\n"), (False, "\r\n"), (False, "\n"), ("last", "\n")],
         ids=["id-column", "crlf", "lone-cr", "id-in-the-last-range"],
     )
-    def test_ranges_join_to_the_one_range_parse(self, tmp_path, monkeypatch, ids, newline):
+    def test_ranges_join_to_the_one_range_parse(self, tmp_path, ids, newline):
+        # the file as read equals the file through the exact route
         rows = self._rows(30)
         if ids is True:
             rows = [[f"mol-{i}", *row[1:]] for i, row in enumerate(rows)]
@@ -185,37 +228,32 @@ class TestLoadCsv:
             rows[-1][0] = "z"
         lines = [",".join(f"c{j}" for j in range(4))] + [",".join(row) for row in rows]
         ends = [newline] * len(lines)
-        if newline == "\n":  # lone "\r" line ends inside the ranges
+        if newline == "\n":  # lone "\r" line ends in the body
             ends[3] = ends[17] = ends[25] = "\r"
         path = tmp_path / "m.csv"
         path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode())
-        expected = load_csv(path)
-        made = self._force_ranges(monkeypatch, 3)
+        expected = _exact_route(path)
         got = load_csv(path)
-        assert len(made) == 2
         assert (got.values.view(np.int64) == expected.values.view(np.int64)).all()
         assert got.values.shape == expected.values.shape == (30, 4 - (ids is not False))
         assert got.row_ids == expected.row_ids
         assert got.column_names == expected.column_names
 
-    def _two_ranges(self, tmp_path, monkeypatch, edits):
-        # 20 rows of about equal length: the cut falls between file rows 11
-        # and 14, whatever the edits; returns the file and the fork count
-        made = self._force_ranges(monkeypatch, 2)
+    @staticmethod
+    def _twenty_rows(tmp_path, edits):
         rows = [["1.25", "2.5"] for _ in range(20)]
         for (i, j), token in edits.items():
             rows[i - 2][j] = token
         path = tmp_path / "m.csv"
         path.write_text("a,b\n" + "".join(",".join(row) + "\n" for row in rows))
-        return path, made
+        return path
 
-    def test_a_ragged_row_in_range_2_beats_a_bad_cell_in_range_1(self, tmp_path, monkeypatch):
-        path, made = self._two_ranges(tmp_path, monkeypatch, {(3, 1): "x"})
+    def test_a_ragged_row_in_range_2_beats_a_bad_cell_in_range_1(self, tmp_path):
+        path = self._twenty_rows(tmp_path, {(3, 1): "x"})
         with open(path, "a") as fh:
             fh.write("3\n" + "1.25,2.5\n" * 3)
         with pytest.raises(InputDataError, match=r"row 22 has 1 fields, header has 2"):
             load_csv(path)
-        assert len(made) == 1
 
     @pytest.mark.parametrize(
         "edits, named",
@@ -223,56 +261,54 @@ class TestLoadCsv:
          ({(19, 1): "NA", (20, 1): "inf"}, "'NA' at row 19, column 'b'")],
         ids=["both-ranges", "range-2-only"],
     )
-    def test_the_first_bad_cell_in_file_order_is_named(self, tmp_path, monkeypatch, edits, named):
-        path, made = self._two_ranges(tmp_path, monkeypatch, edits)
+    def test_the_first_bad_cell_in_file_order_is_named(self, tmp_path, edits, named):
+        path = self._twenty_rows(tmp_path, edits)
         with pytest.raises(InputDataError, match=re.escape(f"non-numeric value {named}")):
             load_csv(path)
-        assert len(made) == 1
 
-    def test_an_undecodable_byte_in_range_2_exits_2(self, tmp_path, monkeypatch, capsys):
-        path, made = self._two_ranges(tmp_path, monkeypatch, {})
+    def test_an_undecodable_byte_in_range_2_exits_2(self, tmp_path, capsys):
+        path = self._twenty_rows(tmp_path, {})
         path.write_bytes(path.read_bytes()[:-4] + b"\xff\n")
         assert main(["detect", "--input", str(path), "--method", "prcmpout"]) == EXIT_INPUT
         assert "cannot read" in capsys.readouterr().err
-        assert len(made) == 1
 
-    @pytest.mark.parametrize("quoted", [True, False], ids=["quoted", "below-the-floor"])
-    def test_one_range_files_never_fork(self, tmp_path, monkeypatch, quoted):
-        def no_fork():
-            raise AssertionError("forked")
+    @pytest.mark.parametrize("kind", ["bench-shaped", "quoted", "crlf"])
+    def test_one_range_files_never_fork(self, tmp_path, monkeypatch, kind):
+        # every file loads in this process; the plain ones through the C reader
+        def refused(*args):
+            raise AssertionError("called")
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(os, "fork", no_fork)
-        if quoted:
-            monkeypatch.setattr(dataio, "_PARALLEL_FLOOR", 0)
-        rows = [['"1.5"' if quoted and i == 5 else "1.5", "2"] for i in range(20)]
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((200, 300)) if kind == "bench-shaped" else np.full((20, 2), 1.5)
+        cells = [[repr(v) for v in row] for row in X.tolist()]
+        if kind == "quoted":
+            cells[5][0] = '"1.5"'
+        ids = [f"row {i}" for i in range(len(cells))]
+        end = "\r\n" if kind == "crlf" else "\n"
+        header = ",".join(["id", *(f"x{j}" for j in range(X.shape[1]))])
         path = tmp_path / "m.csv"
-        path.write_text("a,b\n" + "".join(",".join(row) + "\n" for row in rows))
-        assert load_csv(path).values.shape == (20, 2)
+        path.write_text(
+            header + end + "".join(",".join([i, *row]) + end for i, row in zip(ids, cells)),
+            newline="",
+        )
+        monkeypatch.setattr(os, "fork", refused)
+        if kind != "quoted":
+            monkeypatch.setattr(dataio, "_parse_rows", refused)
+        dm = load_csv(path)
+        assert (dm.values.view(np.int64) == X.view(np.int64)).all()
+        assert dm.row_ids == tuple(ids)
 
-    def test_a_child_that_dies_raises_and_is_reaped(self, tmp_path, monkeypatch):
-        parent, parse = os.getpid(), dataio._parse_rows
-
-        def dying_parse(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return parse(*args)
-
-        def timeout(signum, frame):
-            raise TimeoutError("load_csv hung on a dead child")
-
-        path, _ = self._two_ranges(tmp_path, monkeypatch, {})
-        monkeypatch.setattr(dataio, "_parse_rows", dying_parse)
-        previous = signal.signal(signal.SIGALRM, timeout)
-        signal.alarm(30)
-        try:
-            with pytest.raises(ChildProcessError, match="did not finish"):
-                load_csv(path)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        with pytest.raises(ChildProcessError):  # no child left, not even a zombie
-            os.waitpid(-1, os.WNOHANG)
+    @settings(max_examples=200)
+    @given(content=_csv_files())
+    @example(content=b"a,b\n1,0." + b"0" * 140_000 + b"1\n")  # the window check's case
+    @example(content=b"id,x\r\nrow 1,1.5\r\nrow 2,-0\r\n")
+    @example(content=b"a,b\n1,2\n\n")
+    @example(content=b"a,b\n1,2,3\n4,5,6\n")
+    @example(content="a\n1_000\n１２３\n\xa02\xa0\n".encode())
+    def test_the_c_reader_and_the_exact_route_agree(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_bytes(content)
+        assert _outcome(path) == _outcome(path, _exact_route)
 
 
 class TestReportDocuments:
@@ -286,6 +322,26 @@ class TestReportDocuments:
         dm = DataMatrix(X, tuple(str(i + 1) for i in range(29)), ("a", "b", "c", "d"))
         with pytest.raises(ValueError):
             build(dm, run(X), {})
+
+
+    def test_a_json_report_holds_the_bytes_of_document_to_json(self, tmp_path, capsys):
+        # the CLI streams the report chunk by chunk, to a file or to stdout
+        X, _ = generate_contaminated(SimSpec(n=30, p=3, seed=6))
+        ids = [f"mol \u00e9 {i}" if i % 2 else f'"q" \t{i},' for i in range(30)]
+        path, out = tmp_path / "ids.csv", tmp_path / "r.json"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(
+                [["id", "a", "b", "c"], *([i, *map(repr, row)] for i, row in zip(ids, X.tolist()))]
+            )
+        argv = ["detect", "--input", str(path), "--method", "prcmpout"]
+        assert main([*argv, "--output", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        config = {"input": str(path), "method": "prcmpout", **dataclasses.asdict(DetectorConfig())}
+        doc = weight_report_document(load_csv(path), detect(X), config)
+        assert document_to_json(doc) == json.dumps(doc, indent=2) + "\n"
+        assert out.read_text(encoding="utf-8") == printed == document_to_json(doc)
 
 
 class TestDetectCommand:
@@ -410,11 +466,13 @@ class TestDetectCommand:
         assert "sphering failed: all columns have zero MAD; nothing to analyze" in err
         assert "at least half its values are equal, for example duplicated rows" in err
 
-    def test_alpha_out_of_range_is_a_config_error(self, normal_csv):
-        code = main(
-            ["detect", "--input", str(normal_csv), "--method", "classical", "--alpha", "1.5"]
-        )
-        assert code == EXIT_CONFIG
+    def test_alpha_out_of_range_is_a_config_error(self, normal_csv, capsys):
+        for alpha in ("1.5", "1e-17"):  # 1 - 1e-17 rounds to 1
+            code = main(
+                ["detect", "--input", str(normal_csv), "--method", "classical", "--alpha", alpha]
+            )
+            assert code == EXIT_CONFIG
+            assert "configuration error: --alpha" in capsys.readouterr().err
 
 
 class TestPlotData:
@@ -523,6 +581,7 @@ class TestSweepCommand:
             ["--shift", "inf"],
             ["--scatter-factor", "nan"],
             ["--scatter-factor", "inf"],
+            ["--method", "ogk", "--alpha", "1e-17"],
         ],
     )
     def test_bad_alpha_or_replications_is_a_config_error(self, flags, tmp_path, capsys):
@@ -567,7 +626,8 @@ class TestBenchCommand:
         assert main(["bench", "--methods", "mcd"]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("flags", [["--alpha", "2"], ["--methods", "prcmpout", "--alpha", "0"],
-                                       ["--repeats", "2"], ["--methods", "prcmpout", "--alpha", "0.1"]])
+                                       ["--repeats", "2"], ["--methods", "prcmpout", "--alpha", "0.1"],
+                                       ["--alpha", "1e-17"]])
     def test_bad_alpha_or_repeats_is_a_config_error(self, flags, capsys):
         assert main(["bench", *flags, "--p", "20"]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err

@@ -1,8 +1,12 @@
-"""Every import in ``src/`` and ``tests/`` is used.
+"""Every import in ``src/`` and ``tests/`` is used, and every private name in
+``src/`` is read.
 
 A name bound by an import counts as used when the module reads it anywhere or
 lists it in ``__all__``. ``from __future__`` imports change how the module
-compiles and bind nothing, so they are exempt.
+compiles and bind nothing, so they are exempt. A module-level function, class
+or constant of ``src/`` whose name starts with one underscore counts as read
+when some module of ``src/`` reads it outside its own definition: as a name,
+as an attribute or in an import.
 """
 
 import ast
@@ -12,6 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+SRC = sorted(ROOT.glob("src/**/*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -59,3 +64,69 @@ def test_the_check_sees_an_unused_import_and_respects_all_and_future():
         "print(os.path.sep)\n"
     )
     assert unused_imports(source) == ["line 3: json", "line 4: PI"]
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each module-level function, class or constant named ``_x``, with its statement."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update((name, node) for name in names if name[:1] == "_" and name[:2] != "__")
+    return defined
+
+
+def _reads(stmt: ast.stmt) -> set[str]:
+    read = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each private name no statement but its own definition reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [(stmt, _reads(stmt)) for tree in trees.values() for stmt in tree.body]
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree).items()
+        if not any(name in read for stmt, read in reads if stmt is not node)
+    ]
+
+
+def test_every_private_name_in_src_is_read():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SRC}
+    assert unread_private_names(sources) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a.py": (
+            "_LIMIT = 5\n"
+            "_DEAD, _IMPORTED = 1, 2\n"
+            "_ANNOTATED: int = 6\n"
+            "__version__ = '1'\n"
+            "def _recursive(k):\n"
+            "    return _recursive(k - 1) if k else 0\n"
+            "class _Unused:\n"
+            "    x = _Unused\n"
+            "def public():\n"
+            "    _local = 1\n"
+            "    return _local\n"
+        ),
+        "b.py": "import a\nfrom a import _IMPORTED\nprint(a._LIMIT, _IMPORTED)\n",
+    }
+    assert unread_private_names(sources) == [
+        "a.py: _DEAD", "a.py: _ANNOTATED", "a.py: _recursive", "a.py: _Unused",
+    ]

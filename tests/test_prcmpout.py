@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,25 @@ class TestStage1:
         X[0] *= 100.0
         report = detect(X)
         assert report.w1[0] == 0.0
+
+    @pytest.mark.parametrize("cell", [1e70, 1e76, 1e78, 1e100, 1e150])
+    def test_one_extreme_cell_flags_as_a_large_one_does(self, cell):
+        # past about 1e77 a sphered score's fourth power overflows; the
+        # infinite kurtosis takes the whole weight, the limit of a finite one
+        def run(value):
+            X = np.random.default_rng(0).standard_normal((100, 10))
+            X[1, 1] = value
+            return detect(X)
+
+        reference = run(1e70)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run(cell)
+        assert np.array_equal(report.flags, reference.flags)
+        assert report.flags[1]
+        d1 = report.stage1_distances
+        assert np.isfinite([d1.m_cut, d1.c_cut]).all() and np.isfinite(d1.transformed).all()
+        assert np.isfinite(report.w_final).all()
 
     @given(st.integers(0, 2**32 - 1))
     def test_at_least_a_third_get_full_weight(self, seed):
