@@ -8,8 +8,12 @@ routes give the same matrix to the bit, and only the second raises, so error
 text does not depend on the route.
 
 Detection reports, sweep and timing documents (built by ``evalsim``) and plot
-data all leave through here: ``document_json_chunks`` is the one JSON writer, and
-``document_to_csv`` and ``emit_plot_data`` share one CSV writer and one cell
+data all leave through here. A document is a header plus its records as whole
+columns (``Columns``), never one dict per row. ``document_json_chunks`` is the
+one JSON writer: it writes exactly what ``json.dumps(indent=2)`` writes for the
+row-per-record form, and streams it one block of rows at a time, each
+block's number columns through the C encoder. ``document_to_csv`` renders the
+same columns, and shares with ``emit_plot_data`` one CSV writer and one cell
 formatter. Output is fully deterministic: numbers are written in Python's
 shortest round-trip representation (never more than 17 significant digits)
 and no wall-clock values enter a report, so identical runs produce
@@ -192,28 +196,63 @@ def load_csv(path) -> DataMatrix:
 
 
 # --------------------------------------------------------------------------
-# detection reports
+# documents: a header, then whole columns rendered one record per row
 # --------------------------------------------------------------------------
+
+# rows per block of records: each column's cells in a block are encoded
+# together, and each block leaves the writers as one piece
+_BLOCK_ROWS = 1024
+# the C encoder, which json.dumps uses only without an indent
+_encode_flat = json.JSONEncoder().encode
+
+
+@dataclass(frozen=True)
+class Columns:
+    """The records of a document as whole columns of one length.
+
+    ``cells`` maps each record field, in record order, to its column: a NumPy
+    array, or a sequence of numbers, bools and None. The fields named in
+    ``text`` hold strings instead, and those in ``lists`` hold lists of
+    strings, which only the JSON form carries. Columns of unequal length
+    raise ValueError, so a bad document fails before any byte is written.
+    """
+
+    cells: dict
+    text: tuple[str, ...] = ()
+    lists: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        lengths = {name: len(column) for name, column in self.cells.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"columns differ in length: {lengths}")
+
+    def __len__(self) -> int:
+        return len(next(iter(self.cells.values()), ()))
+
+    def blocks(self, names):
+        """The cells of the columns ``names`` as Python objects, block by block of rows."""
+        for start in range(0, len(self), _BLOCK_ROWS):
+            block = [self.cells[name][start:start + _BLOCK_ROWS] for name in names]
+            yield [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+
 
 def _report(dm: DataMatrix, method: str, header: dict, **columns) -> dict:
     """A report document: a header of ``method``, ``n`` and ``p`` followed by
-    ``header``'s entries, and one record per row holding its ``row_id`` and
-    then its value in each column, in keyword order.
+    ``header``'s entries, and records holding each row's ``row_id`` and then
+    its value in each column, in keyword order.
 
     Columns are whole arrays; one whose length differs from the row ids'
     raises ValueError.
     """
     n, p = dm.values.shape
-    keys = ("row_id", *columns)
-    cells = (col.tolist() for col in columns.values())
     return {
         "header": {"method": method, "n": n, "p": p, **header},
-        "records": [dict(zip(keys, row)) for row in zip(dm.row_ids, *cells, strict=True)],
+        "records": Columns({"row_id": dm.row_ids, **columns}, text=("row_id",)),
     }
 
 
 def weight_report_document(dm: DataMatrix, report, config: dict) -> dict:
-    """JSON-ready document for a PrCmpOut run: header plus one record per row.
+    """Document of a PrCmpOut run: header plus one record per row.
 
     The header's ``thresholds`` block holds the biweight bounds (M, c) each
     stage applied, as the detector computed them.
@@ -238,7 +277,7 @@ def weight_report_document(dm: DataMatrix, report, config: dict) -> dict:
 
 
 def detection_result_document(dm: DataMatrix, result, config: dict) -> dict:
-    """JSON-ready document for a cutoff-based run (classical, ogk, sign2)."""
+    """Document of a cutoff-based run (classical, ogk, sign2)."""
     header = {
         "cutoff": float(result.cutoff),
         "flagged": int(np.sum(result.flags)),
@@ -252,11 +291,41 @@ def detection_result_document(dm: DataMatrix, result, config: dict) -> dict:
     )
 
 
+def _json_cells(table: Columns, name: str, cells: list) -> list[str]:
+    """Each cell of one column's block as ``json.dumps(doc, indent=2)`` writes
+    it inside a record."""
+    if name in table.text:  # a string may hold ", "
+        return list(map(json.encoder.encode_basestring_ascii, cells))
+    if name in table.lists:
+        return [json.dumps(cell, indent=2).replace("\n", "\n      ") for cell in cells]
+    return _encode_flat(cells)[1:-1].split(", ")
+
+
 def document_json_chunks(doc: dict):
-    """The JSON text of ``doc``, indented by 2 and ending in a newline, piece
-    by piece: the command line streams it, so the text is never all held."""
-    yield from json.JSONEncoder(indent=2).iterencode(doc)
-    yield "\n"
+    """The JSON text of ``doc`` as ``json.dumps(doc, indent=2)`` writes its
+    row-per-record form, ending in a newline, piece by piece: the command line
+    streams it, so the text is never all held.
+
+    A document's last entry is its ``Columns``; the entries before it go
+    through ``json.dumps`` as they are, and the records leave one block of
+    rows per piece.
+    """
+    *head, (key, table) = doc.items()
+    yield json.dumps({**dict(head), key: []}, indent=2).removesuffix("[]\n}")
+    if not len(table):
+        yield "[]"
+    else:
+        names = list(table.cells)
+        fields = ",".join(
+            "\n      " + json.encoder.encode_basestring_ascii(name) + ": %s" for name in names
+        )
+        template, opening = "\n    {" + fields + "\n    }", "["
+        for block in table.blocks(names):
+            cells = [_json_cells(table, name, column) for name, column in zip(names, block)]
+            yield opening + ",".join(map(template.__mod__, zip(*cells)))
+            opening = ","
+        yield "\n  ]"
+    yield "\n}\n"
 
 
 def document_to_json(doc: dict) -> str:
@@ -287,11 +356,11 @@ def document_to_csv(doc: dict) -> str:
     The header metadata, the spec and list-valued fields (a sweep row's
     failures) live in the JSON form only.
     """
-    records = doc["records"] if "records" in doc else doc["rows"]
-    if not records:
+    *_, table = doc.values()
+    if not len(table):
         return ""
-    fields = [f for f, value in records[0].items() if not isinstance(value, (list, tuple))]
-    return _table_to_csv(fields, ([rec[f] for f in fields] for rec in records))
+    names = [name for name in table.cells if name not in table.lists]
+    return _table_to_csv(names, (row for block in table.blocks(names) for row in zip(*block)))
 
 
 # --------------------------------------------------------------------------

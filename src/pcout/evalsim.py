@@ -7,20 +7,22 @@ shift and an inflated identity covariance. Generation runs on a counter-based
 generator (Philox) keyed by the spec seed, so streams reproduce across
 platforms; replication r of a sweep uses seed + r.
 
-Results come back as data: ``document`` puts a sweep's or a timing run's rows
-next to the spec that generated them, and ``dataio`` writes that document as
-JSON or CSV.
+Results come back as data: ``document`` puts a sweep's or a timing run's rows,
+as columns, next to the spec that generated them, and ``dataio`` writes that
+document as JSON or CSV.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from statistics import median as stat_median
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+
+from .dataio import Columns
 
 DetectorFn = Callable[[np.ndarray], np.ndarray]
 """A detector handle: maps an n x p matrix to a boolean flag vector."""
@@ -214,5 +216,9 @@ def time_detectors(
 
 
 def document(spec: SimSpec, rows: Sequence[SweepRow] | Sequence[TimingRow]) -> dict:
-    """A sweep's or a timing run's rows beside the spec that generated them."""
-    return {"spec": spec.to_dict(), "rows": [asdict(row) for row in rows]}
+    """A sweep's or a timing run's rows, as columns, beside the spec that
+    generated them."""
+    names = [f.name for f in fields(rows[0])] if rows else []
+    columns = {name: [getattr(row, name) for row in rows] for name in names}
+    table = Columns(columns, text=("detector",), lists=("failures",))
+    return {"spec": spec.to_dict(), "rows": table}

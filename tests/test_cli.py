@@ -1,28 +1,32 @@
 import csv
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcout import dataio
+from pcout import cli, dataio
 from pcout.baselines import sign2_detect
 from pcout.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from pcout.dataio import (
     DataMatrix,
     InputDataError,
     detection_result_document,
+    document_json_chunks,
+    document_to_csv,
     document_to_json,
     load_csv,
     weight_report_document,
 )
-from pcout.evalsim import SimSpec, generate_contaminated
+from pcout.evalsim import SimSpec, SweepRow, TimingRow, document, generate_contaminated
 from pcout.prcmpout import DetectorConfig, detect
 
 
@@ -311,6 +315,102 @@ class TestLoadCsv:
         assert _outcome(path) == _outcome(path, _exact_route)
 
 
+def _row_dicts(doc: dict) -> dict:
+    """``doc`` with its columns as one dict per row: the form the writers render."""
+    *head, (key, table) = doc.items()
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in table.cells.values()]
+    return {**dict(head), key: [dict(zip(table.cells, row)) for row in zip(*columns)]}
+
+
+def _csv_of_rows(doc: dict) -> str:
+    """The CSV form of ``doc`` as ``csv.writer`` wrote it from one dict per row,
+    with the fields of the first row that hold no list."""
+    *_, records = _row_dicts(doc).values()
+    if not records:
+        return ""
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return repr(value) if isinstance(value, float) else str(value)
+
+    fields = [f for f, value in records[0].items() if not isinstance(value, (list, tuple))]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows([cell(rec[f]) for f in fields] for rec in records)
+    return buf.getvalue()
+
+
+_BLOCK = dataio._BLOCK_ROWS
+# text the writers must escape or quote exactly as json and csv do
+_ODD_TEXT = [
+    '"', ",", '", "', "\t", "\r", "\n", "\r\n", "\\", "%s", "%%", "", " ", "\u00e9", "\u96ea",
+    "\x00", "\x01", "\x1f", "\x7f", "\u2028", "\U0001f600",
+]
+_texts = st.lists(
+    st.one_of(st.sampled_from(_ODD_TEXT), st.text(max_size=5)), min_size=1, max_size=3
+).map("".join)
+_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, 1.7976931348623157e308, 0.1, 1e16, 1e-7]),
+    st.floats(),
+)
+
+
+@st.composite
+def _documents(draw, kind: str) -> dict:
+    """A report, sweep or timing document of 3, one block, one block + 1 or
+    three blocks of rows, its cells cycled from small drawn pools."""
+    n = draw(st.sampled_from([3, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
+    texts = draw(st.lists(_texts, min_size=1, max_size=12))
+    floats = draw(st.lists(_floats, min_size=1, max_size=12))
+    maybe = draw(st.lists(st.one_of(st.none(), _floats), min_size=1, max_size=6))
+    ints = draw(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=6))
+    bools = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    failures = draw(st.lists(st.lists(_texts, max_size=3).map(tuple), min_size=1, max_size=4))
+
+    def cycle(pool, k):
+        return [pool[(i * 7 + k) % len(pool)] for i in range(n)]
+
+    def array(k):
+        return np.array(cycle(floats, k))
+
+    if kind == "sweep":
+        rows = [
+            SweepRow(*cells) for cells in zip(
+                cycle(ints, 0), cycle(maybe, 1), cycle(texts, 2), cycle(maybe, 3),
+                cycle(maybe, 4), cycle(ints, 5), cycle(ints, 6), cycle(failures, 7),
+            )
+        ]
+        return document(SimSpec(n=10, p=2), rows)
+    if kind == "timing":
+        rows = [TimingRow(*cells) for cells in zip(
+            cycle(texts, 0), cycle(maybe, 1), cycle(ints, 2), cycle(failures, 3)
+        )]
+        return document(SimSpec(n=10, p=2), rows)
+    ids = tuple(f"{text}{i}" for i, text in enumerate(cycle(texts, 0)))
+    dm = DataMatrix(np.zeros((n, 2)), ids, ("a", "b"))
+    config = {"input": texts[0], "method": kind}
+    flags = np.array(cycle(bools, 1))
+    if kind == "classical":
+        result = SimpleNamespace(method=kind, cutoff=floats[0], distances=array(2), flags=flags)
+        return detection_result_document(dm, result, config)
+    d1, d2 = (
+        SimpleNamespace(transformed=array(k), m_cut=floats[k % len(floats)], c_cut=1.5)
+        for k in (2, 3)
+    )
+    report = SimpleNamespace(
+        stage1_distances=d1, stage2_distances=d2, w1=array(4), w2=array(5), w_final=array(6),
+        flags=flags, p_star=len(texts), dropped_columns={1},
+    )
+    return weight_report_document(dm, report, config)
+
+
+_KINDS = ["prcmpout", "classical", "sweep", "timing"]
+
+
 class TestReportDocuments:
     @pytest.mark.parametrize(
         "build, run",
@@ -323,6 +423,51 @@ class TestReportDocuments:
         with pytest.raises(ValueError):
             build(dm, run(X), {})
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_failing_build_leaves_no_output_file(
+        self, normal_csv, tmp_path, monkeypatch, fmt, capsys
+    ):
+        def one_id_short(path):
+            dm = load_csv(path)
+            return dataclasses.replace(dm, row_ids=dm.row_ids[:-1])
+
+        monkeypatch.setattr(cli, "load_csv", one_id_short)
+        out = tmp_path / f"r.{fmt}"
+        argv = ["detect", "--input", str(normal_csv), "--method", "prcmpout", "--format", fmt]
+        assert main([*argv, "--output", str(out)]) == EXIT_NUMERIC
+        assert not out.exists()
+        assert "differ in length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_the_json_writer_matches_json_dumps_of_the_rows(self, kind, data):
+        doc = data.draw(_documents(kind))
+        assert document_to_json(doc) == json.dumps(_row_dicts(doc), indent=2) + "\n"
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_the_csv_writer_matches_csv_writer_on_the_rows(self, kind, data):
+        doc = data.draw(_documents(kind))
+        assert document_to_csv(doc) == _csv_of_rows(doc)
+
+    def test_a_document_without_rows(self):
+        doc = document(SimSpec(n=10, p=2), [])
+        assert document_to_json(doc) == json.dumps({**doc, "rows": []}, indent=2) + "\n"
+        assert document_to_csv(doc) == ""
+
+    def test_no_chunk_holds_more_than_one_block_of_records(self):
+        # the command line streams these chunks; a writer that built the whole
+        # text first would hand over one chunk of 10000 records
+        X, _ = generate_contaminated(SimSpec(n=10000, p=3, seed=9))
+        dm = DataMatrix(X, tuple(str(i + 1) for i in range(10000)), ("a", "b", "c"))
+        doc = weight_report_document(dm, detect(X), {})
+        chunks = list(document_json_chunks(doc))
+        assert "".join(chunks) == document_to_json(doc)
+        records = [chunk.count('"row_id": ') for chunk in chunks]
+        assert sum(records) == 10000
+        assert max(records) <= _BLOCK < 10000 / 4
 
     def test_a_json_report_holds_the_bytes_of_document_to_json(self, tmp_path, capsys):
         # the CLI streams the report chunk by chunk, to a file or to stdout
@@ -340,7 +485,7 @@ class TestReportDocuments:
         printed = capsys.readouterr().out
         config = {"input": str(path), "method": "prcmpout", **dataclasses.asdict(DetectorConfig())}
         doc = weight_report_document(load_csv(path), detect(X), config)
-        assert document_to_json(doc) == json.dumps(doc, indent=2) + "\n"
+        assert document_to_json(doc) == json.dumps(_row_dicts(doc), indent=2) + "\n"
         assert out.read_text(encoding="utf-8") == printed == document_to_json(doc)
 
 

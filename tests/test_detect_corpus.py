@@ -25,7 +25,7 @@ import pytest
 from pcout.baselines import classical_detect, ogk_detect, sign2_detect
 from pcout.chisq import chi2_quantile
 from pcout.cli import EXIT_INPUT, main
-from pcout.dataio import DataMatrix, emit_plot_data, weight_report_document
+from pcout.dataio import DataMatrix, document_to_json, emit_plot_data, weight_report_document
 from pcout.evalsim import SimSpec, generate_contaminated
 from pcout.prcmpout import DetectorConfig, detect
 
@@ -82,11 +82,13 @@ def test_baselines_match_the_recorded_values(name, method):
 
 
 def _document(name: str) -> dict:
+    """The report of ``name`` as ``pcout plotdata`` reads it back from JSON."""
     X = _corpus_input(name)
     cfg = DetectorConfig()
     n, p = X.shape
     dm = DataMatrix(X, tuple(str(i + 1) for i in range(n)), tuple(f"x{j + 1}" for j in range(p)))
-    return weight_report_document(dm, detect(X, cfg), {"outlier_cut": cfg.outlier_cut})
+    doc = weight_report_document(dm, detect(X, cfg), {"outlier_cut": cfg.outlier_cut})
+    return json.loads(document_to_json(doc))
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
