@@ -57,7 +57,7 @@ def robust_distances(X, est: LocationScatter) -> np.ndarray:
     return np.sqrt((Y**2 / evals).sum(axis=1))
 
 
-def _check_alpha(alpha: float):
+def check_alpha(alpha: float):
     """The cutoff level every comparison detector takes: 1 - alpha in (0, 1)."""
     if not 0.0 < 1.0 - alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1) with 1 - alpha below 1, got {alpha}")
@@ -75,7 +75,7 @@ def classical_detect(X, alpha: float) -> DetectionResult:
     Requires n > p; for wider matrices use the principal-component detector.
     """
     X = checked_matrix(X)
-    _check_alpha(alpha)
+    check_alpha(alpha)
     n, p = X.shape
     if n <= p:
         raise ValueError(
@@ -178,7 +178,7 @@ def ogk_detect(X, alpha: float) -> DetectionResult:
     Convenience composition used by the command line and the benchmark harness.
     """
     X = checked_matrix(X)
-    _check_alpha(alpha)
+    check_alpha(alpha)
     n, p = X.shape
     if n > p:
         dist = robust_distances(X, ogk_reweight(X, ogk_estimate(X)))
@@ -220,7 +220,7 @@ def sign2_detect(X, alpha: float) -> DetectionResult:
     sign covariance but still projected and scored.
     """
     X = checked_matrix(X)
-    _check_alpha(alpha)
+    check_alpha(alpha)
     n = X.shape[0]
 
     D = X - np.median(X, axis=0)

@@ -2,7 +2,7 @@
 
 Subcommands: detect (run one detector on a CSV), sweep (dimension sweep of
 averaged error rates on simulated contamination), bench (wall-clock
-comparison), plotdata (turn a saved report into long-format figure data).
+comparison), plotdata (turn a saved report or sweep into figure data).
 
 Exit codes: 0 success, 2 input or output error, 3 numeric/degeneracy error,
 4 configuration error.
@@ -20,12 +20,11 @@ import time
 from . import baselines, evalsim
 from .dataio import (
     InputDataError,
-    PLOT_KINDS,
     detection_result_document,
+    document_csv_chunks,
     document_json_chunks,
-    document_to_csv,
-    emit_plot_data,
     load_csv,
+    plot_document,
     weight_report_document,
 )
 from .prcmpout import DetectorConfig, detect
@@ -101,16 +100,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--format", choices=("json", "csv"), default="csv")
     p_bench.add_argument("--output", default=None)
 
-    p_plot = sub.add_parser("plotdata", help="figure data from a saved JSON report")
+    p_plot = sub.add_parser("plotdata", help="figure data from a saved JSON report or sweep")
     p_plot.add_argument("--report", required=True, help="JSON report from detect or sweep")
-    p_plot.add_argument("--kind", required=True, choices=PLOT_KINDS)
     p_plot.add_argument("--output", default=None)
 
     return parser
 
 
-def _write(path: str | None, chunks) -> None:
-    """Write the strings ``chunks`` to the file at ``path``, or to stdout."""
+def _write_document(doc: dict, fmt: str, path: str | None) -> None:
+    """Stream ``doc`` as ``fmt`` to the file at ``path``, or to stdout."""
+    chunks = document_json_chunks(doc) if fmt == "json" else document_csv_chunks(doc)
     if path is None:
         sys.stdout.writelines(chunks)
     else:
@@ -121,18 +120,18 @@ def _write(path: str | None, chunks) -> None:
             raise OSError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_document(doc: dict, fmt: str, path: str | None):
-    _write(path, document_json_chunks(doc) if fmt == "json" else [document_to_csv(doc)])
-
-
 def _alpha_for(methods, alpha: float | None) -> float:
     """The --alpha to run with: range-checked, refused unless some method
     uses it, DEFAULT_ALPHA when unset."""
-    if alpha is not None and not 0.0 < 1.0 - alpha < 1.0:  # 1 - 1e-17 rounds to 1
-        raise ConfigError(f"--alpha must be in (0, 1) with 1 - alpha below 1, got {alpha}")
-    if alpha is not None and all(m == "prcmpout" for m in methods):
+    if alpha is None:
+        return DEFAULT_ALPHA
+    try:
+        baselines.check_alpha(alpha)
+    except ValueError as exc:
+        raise ConfigError(f"--{exc}") from exc
+    if all(m == "prcmpout" for m in methods):
         raise ConfigError("--alpha does not apply to the prcmpout method")
-    return DEFAULT_ALPHA if alpha is None else alpha
+    return alpha
 
 
 def _flag_handle(method: str, alpha: float | None):
@@ -242,10 +241,10 @@ def _cmd_plotdata(args) -> int:
     except json.JSONDecodeError as exc:
         raise InputDataError(f"{args.report} is not valid JSON: {exc}") from exc
     try:
-        text = emit_plot_data(doc, args.kind)
+        points = plot_document(doc)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputDataError(f"{args.report} does not match kind {args.kind!r}: {exc}") from exc
-    _write(args.output, [text])
+        raise InputDataError(f"{args.report} is not a pcout report or sweep: {exc}") from exc
+    _write_document(points, "csv", args.output)
     return EXIT_OK
 
 

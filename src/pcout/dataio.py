@@ -7,17 +7,18 @@ reader does not read cleanly, goes to ``csv.reader`` and ``float()``. Both
 routes give the same matrix to the bit, and only the second raises, so error
 text does not depend on the route.
 
-Detection reports, sweep and timing documents (built by ``evalsim``) and plot
-data all leave through here. A document is a header plus its records as whole
-columns (``Columns``), never one dict per row. ``document_json_chunks`` is the
-one JSON writer: it writes exactly what ``json.dumps(indent=2)`` writes for the
-row-per-record form, and streams it one block of rows at a time, each
-block's number columns through the C encoder. ``document_to_csv`` renders the
-same columns, and shares with ``emit_plot_data`` one CSV writer and one cell
-formatter. Output is fully deterministic: numbers are written in Python's
-shortest round-trip representation (never more than 17 significant digits)
-and no wall-clock values enter a report, so identical runs produce
-byte-identical files. Elapsed time is a stderr affair (see the cli module).
+Every output leaves through here: detection reports, sweep and timing
+documents (built by ``evalsim``) and figure data (built by ``plot_document``
+from a loaded JSON report or sweep). A document is a header plus its records
+as whole columns (``Columns``), never one dict per row, and each format has
+one writer that streams it one block of rows at a time.
+``document_json_chunks`` writes exactly what ``json.dumps(indent=2)`` writes
+for the row-per-record form, each block's number columns through the C
+encoder; ``document_csv_chunks`` writes a line of field names and then one
+line per record through ``csv.writer``. Output is fully deterministic:
+numbers are written in Python's shortest round-trip representation (never
+more than 17 significant digits) and no wall-clock values enter a report, so
+identical runs produce byte-identical files. Elapsed time is a stderr affair (see the cli module).
 """
 
 from __future__ import annotations
@@ -342,101 +343,87 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _table_to_csv(fields: list[str], rows) -> str:
+def document_csv_chunks(doc: dict):
+    """The CSV text of ``doc``, piece by piece: the line of field names, then
+    one line per record, one block of rows per piece.
+
+    A document's last entry is its ``Columns``. The header metadata, the spec
+    and list-valued fields (a sweep row's failures) live in the JSON form
+    only; a document without fields has no CSV text.
+    """
+    *_, table = doc.values()
+    names = [name for name in table.cells if name not in table.lists]
+    if not names:
+        return
+    yield _csv_lines([names])
+    for block in table.blocks(names):
+        yield _csv_lines([_csv_cell(value) for value in row] for row in zip(*block))
+
+
+def _csv_lines(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    writer.writerows([_csv_cell(value) for value in row] for row in rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def document_to_csv(doc: dict) -> str:
-    """One line per record of a report, or per row of a sweep or timing document.
-
-    The header metadata, the spec and list-valued fields (a sweep row's
-    failures) live in the JSON form only.
-    """
-    *_, table = doc.values()
-    if not len(table):
-        return ""
-    names = [name for name in table.cells if name not in table.lists]
-    return _table_to_csv(names, (row for block in table.blocks(names) for row in zip(*block)))
-
-
 # --------------------------------------------------------------------------
-# plot data: long-format (panel, x, y, flag) tables that reproduce the
-# figures of a run in any plotting tool
+# figure data: a long-format (panel, x, y, flag) document that reproduces
+# the figures of a run in any plotting tool
 # --------------------------------------------------------------------------
 
-def plot_distance_index(doc: dict) -> list[tuple]:
-    """Distance-vs-index data: n rows plus one boundary row with the cutoff."""
-    if "cutoff" not in doc["header"]:
-        raise ValueError("report does not carry a cutoff; not a distance-index run")
-    rows = [
-        ("distance", i + 1, rec["distance"], "flagged" if rec["flag"] else "ok")
-        for i, rec in enumerate(doc["records"])
-    ]
-    rows.append(("distance", 0, doc["header"]["cutoff"], "boundary"))
-    return rows
-
-
-def plot_weight_panels(doc: dict) -> list[tuple]:
-    """The six per-observation panels of a PrCmpOut run.
-
-    Panels: stage-1 distances (with the M/c boundaries from the header's
-    thresholds block as x = 0 rows), w1, stage-2 distances (again with
-    boundaries), w2, combined weights (with the outlier cut), and the
-    resulting 0/1 flags.
-    """
-    header = doc["header"]
-    if header.get("method") != "prcmpout":
-        raise ValueError("weight panels need a prcmpout report")
-    if "thresholds" not in header:
-        raise ValueError("report has no thresholds block; rerun pcout detect to get one")
-    records = doc["records"]
-    bounds = header["thresholds"]
-
-    rows = []
-    for i, rec in enumerate(records):
-        x = i + 1
-        state = "flagged" if rec["flag"] else "ok"
-        rows.append(("stage1_distance", x, rec["stage1_distance"], state))
-        rows.append(("stage1_weight", x, rec["w1"], state))
-        rows.append(("stage2_distance", x, rec["stage2_distance"], state))
-        rows.append(("stage2_weight", x, rec["w2"], state))
-        rows.append(("combined_weight", x, rec["w_final"], state))
-        rows.append(("flag01", x, 0.0 if rec["flag"] else 1.0, state))
-    for stage in ("stage1", "stage2"):
-        rows.append((f"{stage}_distance", 0, bounds[stage]["M"], "boundary"))
-        rows.append((f"{stage}_distance", 0, bounds[stage]["c"], "boundary"))
-    rows.append(("combined_weight", 0, header["config"]["outlier_cut"], "boundary"))
-    return rows
-
-
-def plot_sweep_curves(doc: dict) -> list[tuple]:
-    """Error-rate curves: one row per (p, metric) pair of a sweep document."""
-    if "rows" not in doc:
-        raise ValueError("not a sweep document")
-    rows = []
-    for entry in doc["rows"]:
-        if entry["mean_fn"] is not None:
-            rows.append(("fn", entry["p"], entry["mean_fn"], entry["detector"]))
-        if entry["mean_fp"] is not None:
-            rows.append(("fp", entry["p"], entry["mean_fp"], entry["detector"]))
-    return rows
-
-
-_PLOTTERS = {
-    "distance_index": plot_distance_index,
-    "weight_panels": plot_weight_panels,
-    "sweep_curves": plot_sweep_curves,
+# the per-observation panels of a prcmpout report, each with its record field
+_WEIGHT_PANELS = {
+    "stage1_distance": "stage1_distance",
+    "stage1_weight": "w1",
+    "stage2_distance": "stage2_distance",
+    "stage2_weight": "w2",
+    "combined_weight": "w_final",
 }
-PLOT_KINDS = tuple(_PLOTTERS)
 
 
-def emit_plot_data(doc: dict, kind: str) -> str:
-    """Long-format CSV (panel, x, y, flag) for one of the three figure kinds."""
-    if kind not in _PLOTTERS:
-        raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    rows = _PLOTTERS[kind](doc)
-    return _table_to_csv(["panel", "x", "y", "flag"], ((p, x, float(y), f) for p, x, y, f in rows))
+def plot_document(doc) -> dict:
+    """The figure data of a loaded JSON report or sweep, one (panel, x, y,
+    flag) record per plotted point. The document decides the figure:
+
+    - a sweep: one point per (dimension, error rate) pair whose rate was
+      measured, panel ``fn`` or ``fp``, flagged with the detector;
+    - a prcmpout report: six panels per observation (stage-1 and stage-2
+      distances and weights, combined weight, 0/1 flag) at x = 1..n, then
+      the header's thresholds and the outlier cut as x = 0 points flagged
+      ``boundary``;
+    - a cutoff report (classical, ogk, sign2): one distance per observation,
+      then the cutoff as an x = 0 boundary point.
+
+    Anything else raises KeyError, TypeError or ValueError.
+    """
+    if "rows" in doc:
+        points = [
+            (rate, row["p"], row[f"mean_{rate}"], row["detector"])
+            for row in doc["rows"]
+            for rate in ("fn", "fp")
+            if row[f"mean_{rate}"] is not None
+        ]
+    elif doc["header"]["method"] == "prcmpout":
+        header = doc["header"]
+        if "thresholds" not in header:
+            raise ValueError("report has no thresholds block; rerun pcout detect to get one")
+        points = []
+        for x, rec in enumerate(doc["records"], start=1):
+            state = "flagged" if rec["flag"] else "ok"
+            points += [(panel, x, rec[field], state) for panel, field in _WEIGHT_PANELS.items()]
+            points.append(("flag01", x, 0.0 if rec["flag"] else 1.0, state))
+        points += [
+            (f"{stage}_distance", 0, header["thresholds"][stage][bound], "boundary")
+            for stage in ("stage1", "stage2")
+            for bound in ("M", "c")
+        ]
+        points.append(("combined_weight", 0, header["config"]["outlier_cut"], "boundary"))
+    else:
+        points = [
+            ("distance", x, rec["distance"], "flagged" if rec["flag"] else "ok")
+            for x, rec in enumerate(doc["records"], start=1)
+        ]
+        points.append(("distance", 0, doc["header"]["cutoff"], "boundary"))
+    panel, x, y, flag = zip(*points) if points else ((), (), (), ())
+    cells = {"panel": panel, "x": x, "y": [float(value) for value in y], "flag": flag}
+    return {"points": Columns(cells, text=("panel", "flag"))}

@@ -12,7 +12,7 @@ import numpy as np
 
 from pcout.baselines import classical_detect, ogk_detect, ogk_estimate, sign2_detect
 from pcout.chisq import chi2_quantile
-from pcout.dataio import DataMatrix, document_to_csv, document_to_json, weight_report_document
+from pcout.dataio import DataMatrix, document_csv_chunks, document_to_json, weight_report_document
 from pcout.evalsim import (
     REFERENCE_OUTLIER_ROWS,
     SimSpec,
@@ -256,11 +256,10 @@ def test_criterion_11_determinism():
         n=60, p=8, outlier_indices=frozenset({1, 2, 3}), location_shift=3.0, seed=BASE_SEED
     )
     sweeps = [
-        document_to_csv(
-            document(spec, dimension_sweep(lambda X: detect(X).flags, [8, 16], 4, spec))
-        )
+        document(spec, dimension_sweep(lambda X: detect(X).flags, [8, 16], 4, spec))
         for _ in range(2)
     ]
+    sweeps = ["".join(document_csv_chunks(doc)) for doc in sweeps]
     X, _ = generate_contaminated(spec)
     n, p = X.shape
     dm = DataMatrix(X, tuple(str(i + 1) for i in range(n)), tuple(f"x{j + 1}" for j in range(p)))

@@ -20,10 +20,11 @@ from pcout.dataio import (
     DataMatrix,
     InputDataError,
     detection_result_document,
+    document_csv_chunks,
     document_json_chunks,
-    document_to_csv,
     document_to_json,
     load_csv,
+    plot_document,
     weight_report_document,
 )
 from pcout.evalsim import SimSpec, SweepRow, TimingRow, document, generate_contaminated
@@ -322,26 +323,38 @@ def _row_dicts(doc: dict) -> dict:
     return {**dict(head), key: [dict(zip(table.cells, row)) for row in zip(*columns)]}
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _csv_table(fields: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows([_cell(value) for value in row] for row in rows)
+    return buf.getvalue()
+
+
 def _csv_of_rows(doc: dict) -> str:
     """The CSV form of ``doc`` as ``csv.writer`` wrote it from one dict per row,
     with the fields of the first row that hold no list."""
     *_, records = _row_dicts(doc).values()
     if not records:
         return ""
-
-    def cell(value):
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return repr(value) if isinstance(value, float) else str(value)
-
     fields = [f for f, value in records[0].items() if not isinstance(value, (list, tuple))]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    writer.writerows([cell(rec[f]) for f in fields] for rec in records)
-    return buf.getvalue()
+    return _csv_table(fields, ([rec[f] for f in fields] for rec in records))
+
+
+def _write_odd_ids_csv(path, X) -> None:
+    """``X`` as a CSV whose ids hold quotes, commas, a tab, CR/LF and non-ASCII."""
+    ids = [f"mol \u00e9 {i}" if i % 2 else f'"q" \t{i},\r\n' for i in range(len(X))]
+    header = ["id", *(f"x{j + 1}" for j in range(X.shape[1]))]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *([i, *map(repr, row)] for i, row in zip(ids, X.tolist()))])
 
 
 _BLOCK = dataio._BLOCK_ROWS
@@ -450,34 +463,37 @@ class TestReportDocuments:
     @given(data=st.data())
     def test_the_csv_writer_matches_csv_writer_on_the_rows(self, kind, data):
         doc = data.draw(_documents(kind))
-        assert document_to_csv(doc) == _csv_of_rows(doc)
+        assert "".join(document_csv_chunks(doc)) == _csv_of_rows(doc)
 
     def test_a_document_without_rows(self):
         doc = document(SimSpec(n=10, p=2), [])
         assert document_to_json(doc) == json.dumps({**doc, "rows": []}, indent=2) + "\n"
-        assert document_to_csv(doc) == ""
+        assert "".join(document_csv_chunks(doc)) == ""
 
-    def test_no_chunk_holds_more_than_one_block_of_records(self):
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_no_chunk_holds_more_than_one_block_of_records(self, fmt):
         # the command line streams these chunks; a writer that built the whole
         # text first would hand over one chunk of 10000 records
         X, _ = generate_contaminated(SimSpec(n=10000, p=3, seed=9))
         dm = DataMatrix(X, tuple(str(i + 1) for i in range(10000)), ("a", "b", "c"))
         doc = weight_report_document(dm, detect(X), {})
-        chunks = list(document_json_chunks(doc))
-        assert "".join(chunks) == document_to_json(doc)
-        records = [chunk.count('"row_id": ') for chunk in chunks]
+        if fmt == "json":
+            chunks = list(document_json_chunks(doc))
+            assert "".join(chunks) == document_to_json(doc)
+            records = [chunk.count('"row_id": ') for chunk in chunks]
+        else:
+            chunks = list(document_csv_chunks(doc))
+            assert "".join(chunks) == _csv_of_rows(doc)
+            assert chunks[0].count("\n") == 1  # the field names
+            records = [chunk.count("\n") for chunk in chunks[1:]]
         assert sum(records) == 10000
         assert max(records) <= _BLOCK < 10000 / 4
 
     def test_a_json_report_holds_the_bytes_of_document_to_json(self, tmp_path, capsys):
         # the CLI streams the report chunk by chunk, to a file or to stdout
         X, _ = generate_contaminated(SimSpec(n=30, p=3, seed=6))
-        ids = [f"mol \u00e9 {i}" if i % 2 else f'"q" \t{i},' for i in range(30)]
         path, out = tmp_path / "ids.csv", tmp_path / "r.json"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows(
-                [["id", "a", "b", "c"], *([i, *map(repr, row)] for i, row in zip(ids, X.tolist()))]
-            )
+        _write_odd_ids_csv(path, X)
         argv = ["detect", "--input", str(path), "--method", "prcmpout"]
         assert main([*argv, "--output", str(out)]) == EXIT_OK
         capsys.readouterr()
@@ -487,6 +503,18 @@ class TestReportDocuments:
         doc = weight_report_document(load_csv(path), detect(X), config)
         assert document_to_json(doc) == json.dumps(_row_dicts(doc), indent=2) + "\n"
         assert out.read_text(encoding="utf-8") == printed == document_to_json(doc)
+
+    def test_a_csv_report_to_stdout_holds_the_bytes_of_the_file(self, tmp_path, capsys):
+        X, _ = generate_contaminated(SimSpec(n=30, p=3, seed=6))
+        path, out = tmp_path / "ids.csv", tmp_path / "r.csv"
+        _write_odd_ids_csv(path, X)
+        argv = ["detect", "--input", str(path), "--method", "prcmpout", "--format", "csv"]
+        assert main([*argv, "--output", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        doc = weight_report_document(load_csv(path), detect(X), {})
+        assert out.read_bytes().decode("utf-8") == printed == _csv_of_rows(doc)
 
 
 class TestDetectCommand:
@@ -620,13 +648,94 @@ class TestDetectCommand:
             assert "configuration error: --alpha" in capsys.readouterr().err
 
 
+def _distance_index_rows(doc: dict) -> list[tuple]:
+    rows = [
+        ("distance", i + 1, rec["distance"], "flagged" if rec["flag"] else "ok")
+        for i, rec in enumerate(doc["records"])
+    ]
+    rows.append(("distance", 0, doc["header"]["cutoff"], "boundary"))
+    return rows
+
+
+def _weight_panel_rows(doc: dict) -> list[tuple]:
+    header = doc["header"]
+    rows = []
+    for i, rec in enumerate(doc["records"]):
+        x = i + 1
+        state = "flagged" if rec["flag"] else "ok"
+        rows.append(("stage1_distance", x, rec["stage1_distance"], state))
+        rows.append(("stage1_weight", x, rec["w1"], state))
+        rows.append(("stage2_distance", x, rec["stage2_distance"], state))
+        rows.append(("stage2_weight", x, rec["w2"], state))
+        rows.append(("combined_weight", x, rec["w_final"], state))
+        rows.append(("flag01", x, 0.0 if rec["flag"] else 1.0, state))
+    for stage in ("stage1", "stage2"):
+        rows.append((f"{stage}_distance", 0, header["thresholds"][stage]["M"], "boundary"))
+        rows.append((f"{stage}_distance", 0, header["thresholds"][stage]["c"], "boundary"))
+    rows.append(("combined_weight", 0, header["config"]["outlier_cut"], "boundary"))
+    return rows
+
+
+def _sweep_curve_rows(doc: dict) -> list[tuple]:
+    rows = []
+    for entry in doc["rows"]:
+        if entry["mean_fn"] is not None:
+            rows.append(("fn", entry["p"], entry["mean_fn"], entry["detector"]))
+        if entry["mean_fp"] is not None:
+            rows.append(("fp", entry["p"], entry["mean_fp"], entry["detector"]))
+    return rows
+
+
+# the figure data of each kind, row by row from a loaded document's row dicts
+_FIGURE_ROWS = {
+    "distance_index": _distance_index_rows,
+    "weight_panels": _weight_panel_rows,
+    "sweep_curves": _sweep_curve_rows,
+}
+
+
+def _loaded_report(method: str) -> dict:
+    """A report of ``method`` as ``pcout plotdata`` reads it back from JSON."""
+    X, _ = generate_contaminated(
+        SimSpec(n=40, p=4, outlier_indices=frozenset({1, 2, 3}), location_shift=6.0, seed=4)
+    )
+    dm = DataMatrix(X, tuple(f"r,{i}" for i in range(40)), ("a", "b", "c", "d"))
+    if method == "prcmpout":
+        doc = weight_report_document(dm, detect(X), dataclasses.asdict(DetectorConfig()))
+    else:
+        doc = detection_result_document(dm, sign2_detect(X, 0.05), {"alpha": 0.05})
+    loaded = json.loads(document_to_json(doc))
+    assert any(rec["flag"] for rec in loaded["records"])
+    return loaded
+
+
+def _loaded_sweep(rates: list[tuple]) -> dict:
+    """A sweep document of one row per (mean_fn, mean_fp) pair, read back from JSON."""
+    rows = [
+        SweepRow(p=5 * (i + 1), alpha=0.05, detector='sign2, "v"', mean_fn=fn, mean_fp=fp,
+                 replications=2, seed=42, failures=("p=5 rep=1: singular",) if fn is None else ())
+        for i, (fn, fp) in enumerate(rates)
+    ]
+    return json.loads(document_to_json(document(SimSpec(n=10, p=5), rows)))
+
+
+# each document, with the one kind the per-kind command accepted for it
+_FIGURES = {
+    "prcmpout report": lambda: (_loaded_report("prcmpout"), "weight_panels"),
+    "cutoff report": lambda: (_loaded_report("sign2"), "distance_index"),
+    "sweep with some rates": lambda: (
+        _loaded_sweep([(0.5, None), (None, 0.125), (0, 1e-17), (None, None)]), "sweep_curves"
+    ),
+    "sweep without rates": lambda: (_loaded_sweep([(None, None), (None, None)]), "sweep_curves"),
+}
+
+
 class TestPlotData:
     def test_weight_panels_schema(self, normal_csv, tmp_path):
         report = tmp_path / "r.json"
         main(["detect", "--input", str(normal_csv), "--method", "prcmpout", "--output", str(report)])
         out = tmp_path / "panels.csv"
-        code = main(["plotdata", "--report", str(report), "--kind", "weight_panels",
-                     "--output", str(out)])
+        code = main(["plotdata", "--report", str(report), "--output", str(out)])
         assert code == EXIT_OK
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
@@ -646,8 +755,7 @@ class TestPlotData:
         main(["detect", "--input", str(normal_csv), "--method", "sign2",
               "--alpha", "0.05", "--output", str(report)])
         out = tmp_path / "dist.csv"
-        assert main(["plotdata", "--report", str(report), "--kind", "distance_index",
-                     "--output", str(out)]) == EXIT_OK
+        assert main(["plotdata", "--report", str(report), "--output", str(out)]) == EXIT_OK
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len([r for r in rows if r["flag"] != "boundary"]) == 60
@@ -655,11 +763,25 @@ class TestPlotData:
         assert len(boundary) == 1
         assert float(boundary[0]["y"]) == json.loads(report.read_text())["header"]["cutoff"]
 
-    def test_kind_mismatch_exits_2(self, normal_csv, tmp_path):
-        report = tmp_path / "r.json"
-        main(["detect", "--input", str(normal_csv), "--method", "prcmpout", "--output", str(report)])
-        code = main(["plotdata", "--report", str(report), "--kind", "sweep_curves"])
-        assert code == EXIT_INPUT
+    def test_kind_mismatch_exits_2(self, tmp_path, capsys):
+        # neither a timing document nor a bare list holds figure data
+        timing, listed = tmp_path / "bench.json", tmp_path / "list.json"
+        assert main(["bench", "--methods", "prcmpout", "--p", "20", "--repeats", "3",
+                     "--format", "json", "--output", str(timing)]) == EXIT_OK
+        listed.write_text("[1, 2]", encoding="utf-8")
+        for path in (timing, listed):
+            capsys.readouterr()
+            assert main(["plotdata", "--report", str(path)]) == EXIT_INPUT
+            assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(_FIGURES))
+    def test_figure_data_matches_the_rows_of_its_one_kind(self, case):
+        doc, kind = _FIGURES[case]()
+        text = "".join(document_csv_chunks(plot_document(doc)))
+        rows = [(panel, x, float(y), flag) for panel, x, y, flag in _FIGURE_ROWS[kind](doc)]
+        assert text == _csv_table(["panel", "x", "y", "flag"], rows)
+        if case == "sweep without rates":
+            assert text == "panel,x,y,flag\n"
 
 
 class TestSweepCommand:
@@ -692,8 +814,7 @@ class TestSweepCommand:
         doc = json.loads(sweep_json.read_text())
         assert doc["spec"]["n"] == 40
         out = tmp_path / "curves.csv"
-        assert main(["plotdata", "--report", str(sweep_json), "--kind", "sweep_curves",
-                     "--output", str(out)]) == EXIT_OK
+        assert main(["plotdata", "--report", str(sweep_json), "--output", str(out)]) == EXIT_OK
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert {(r["panel"], r["x"]) for r in rows} == {
@@ -793,7 +914,7 @@ def _small_run(command, csv_path, report_path):
         "sweep": ["sweep", "--p-values", "5", "--replications", "2", "--n", "40",
                   "--outlier-indices", "1,2,3"],
         "bench": ["bench", "--methods", "prcmpout", "--p", "20", "--repeats", "3"],
-        "plotdata": ["plotdata", "--report", str(report_path), "--kind", "weight_panels"],
+        "plotdata": ["plotdata", "--report", str(report_path)],
     }[command]
 
 
@@ -804,6 +925,15 @@ def test_plot_data_flag_is_gone(command, normal_csv, tmp_path, capsys):
     code = main([*argv, "--output", str(tmp_path / "out"), "--plot-data", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
     assert "unrecognized arguments: --plot-data" in capsys.readouterr().err
+
+
+def test_plot_kind_flag_is_gone(normal_csv, tmp_path, capsys):
+    # the report or sweep decides which figure plotdata writes
+    report = tmp_path / "r.json"
+    assert main(["detect", "--input", str(normal_csv), "--method", "prcmpout",
+                 "--output", str(report)]) == EXIT_OK
+    assert main(["plotdata", "--report", str(report), "--kind", "weight_panels"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --kind" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["detect", "sweep", "bench", "plotdata"])

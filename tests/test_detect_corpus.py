@@ -25,7 +25,13 @@ import pytest
 from pcout.baselines import classical_detect, ogk_detect, sign2_detect
 from pcout.chisq import chi2_quantile
 from pcout.cli import EXIT_INPUT, main
-from pcout.dataio import DataMatrix, document_to_json, emit_plot_data, weight_report_document
+from pcout.dataio import (
+    DataMatrix,
+    document_csv_chunks,
+    document_to_json,
+    plot_document,
+    weight_report_document,
+)
 from pcout.evalsim import SimSpec, generate_contaminated
 from pcout.prcmpout import DetectorConfig, detect
 
@@ -110,7 +116,7 @@ def test_header_thresholds_match_the_published_bounds(name):
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_weight_panel_boundaries_are_the_header_thresholds(name):
     doc = _document(name)
-    rows = list(csv.DictReader(io.StringIO(emit_plot_data(doc, "weight_panels"))))
+    rows = list(csv.DictReader(io.StringIO("".join(document_csv_chunks(plot_document(doc))))))
     boundary = {}
     for row in rows:
         if row["flag"] == "boundary":
@@ -128,5 +134,5 @@ def test_weight_panels_of_a_report_without_thresholds_exit_2(tmp_path, capsys):
     del doc["header"]["thresholds"]
     path = tmp_path / "old-report.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["plotdata", "--report", str(path), "--kind", "weight_panels"]) == EXIT_INPUT
+    assert main(["plotdata", "--report", str(path)]) == EXIT_INPUT
     assert "thresholds" in capsys.readouterr().err

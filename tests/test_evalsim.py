@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pcout.baselines import classical_detect
-from pcout.dataio import document_to_csv, document_to_json
+from pcout.dataio import document_csv_chunks, document_to_json
 from pcout.evalsim import (
     REFERENCE_OUTLIER_ROWS,
     SimSpec,
@@ -177,7 +177,7 @@ class TestSerialization:
     def test_csv_header_is_exact(self):
         spec = SimSpec(n=30, p=5, outlier_indices=frozenset({1}), location_shift=9.0, seed=2)
         rows = dimension_sweep(_always_flag_far, [5], 2, spec, detector_name="norm", alpha=0.05)
-        text = document_to_csv(document(spec, rows))
+        text = "".join(document_csv_chunks(document(spec, rows)))
         assert text.splitlines()[0] == "p,alpha,detector,mean_fn,mean_fp,replications,seed"
         assert text.splitlines()[1].startswith("5,0.05,norm,")
 
@@ -191,10 +191,11 @@ class TestSerialization:
     def test_none_rates_serialize_as_empty_cells(self):
         spec = SimSpec(n=10, p=3, seed=1)  # no outliers: FN undefined
         rows = dimension_sweep(_always_flag_far, [3], 1, spec, detector_name="norm")
-        line = document_to_csv(document(spec, rows)).splitlines()[1]
+        line = "".join(document_csv_chunks(document(spec, rows))).splitlines()[1]
         assert line.split(",")[3] == ""
 
     def test_timing_csv(self):
-        text = document_to_csv(document(SimSpec(n=10, p=2), [TimingRow("norm", 0.125, 3)]))
+        doc = document(SimSpec(n=10, p=2), [TimingRow("norm", 0.125, 3)])
+        text = "".join(document_csv_chunks(doc))
         assert text.splitlines()[0] == "detector,median_seconds,repeats"
         assert text.splitlines()[1] == "norm,0.125,3"

@@ -1,7 +1,8 @@
 """The README's examples stay in step with the code: the Python quick start
-runs against the public API, and every ``pcout ...`` command line in it
-parses (without running)."""
+runs against the public API, every ``pcout ...`` command line in it parses
+(without running), and it names every option the command line defines."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -45,3 +46,20 @@ def test_every_subcommand_is_documented():
 def test_command_line_parses(argv):
     args = cli._build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _option_strings(sub)
+    return options
+
+
+def test_every_option_is_named():
+    options = _option_strings(cli._build_parser())
+    assert "--scatter-factor" in options
+    named = {option for option in options if re.search(rf"(?<![\w-]){option}(?![\w-])", README)}
+    assert options - named == set()
