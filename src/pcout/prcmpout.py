@@ -194,11 +194,13 @@ def detect(X, cfg: DetectorConfig = DetectorConfig()) -> WeightReport:
         Z = project(Xs, basis)
     except ValueError as exc:
         raise ValueError(f"principal-component step failed: {exc}") from exc
+    del Xs, basis  # each n x p-sized buffer goes once it is consumed
 
     try:
         Zs, _ = robust_sphere(Z)  # a zero-MAD score column is dropped here too
     except ValueError as exc:
         raise ValueError(f"score sphering failed: {exc}") from exc
+    del Z
 
     try:
         w1, d1, kurt = stage1_location(Zs, cfg)

@@ -21,10 +21,13 @@ def median_mad(X, axis=None):
     """Median and scaled MAD (median absolute deviation times 1.4826).
 
     With ``axis=None`` both come from the flattened input; with ``axis=0``
-    they are per-column arrays.
+    they are per-column arrays. X is left as it is: the deviations go to one
+    temporary, which the MAD's median then partitions in place.
     """
     med = np.median(X, axis=axis)
-    return med, MAD_SCALE * np.median(np.abs(X - med), axis=axis)
+    dev = np.subtract(X, med)
+    np.abs(dev, out=dev)
+    return med, MAD_SCALE * np.median(dev, axis=axis, overwrite_input=True)
 
 
 def l1_median(X) -> np.ndarray:
@@ -93,5 +96,7 @@ def robust_sphere(X) -> tuple[np.ndarray, frozenset[int]]:
             "all columns have zero MAD; nothing to analyze (a column has zero MAD when at "
             "least half its values are equal, for example duplicated rows)"
         )
-    Xs = (X[:, keep] - medians[keep]) / mads[keep]
+    Xs = X[:, keep]  # a copy, so the arithmetic below stays in it
+    Xs -= medians[keep]
+    Xs /= mads[keep]
     return Xs, frozenset(int(j) for j in np.flatnonzero(~keep))

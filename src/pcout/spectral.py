@@ -26,7 +26,7 @@ class PcaBasis:
     eigenvectors: p x k matrix with orthonormal columns.
     eigenvalues: the k retained variances, nonincreasing.
     variance_fraction: share of total variance the retained pairs cover.
-    total_variance: trace of the underlying covariance.
+    total_variance: trace of the decomposed matrix, the covariance or its Gram twin.
     """
 
     eigenvectors: np.ndarray
@@ -53,10 +53,12 @@ def covariance(X) -> np.ndarray:
 
 
 def _canonicalize_signs(V: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(V), axis=0)
+    """Flip, in place, each column of V (an array the caller owns) so that its
+    largest |entry| is positive. |V| is laid out transposed, so argmax copies nothing."""
+    idx = np.argmax(np.abs(V.T, order="C"), axis=1)
     signs = np.sign(V[idx, np.arange(V.shape[1])])
     signs[signs == 0] = 1.0
-    return V * signs
+    return np.multiply(V, signs, out=V)
 
 
 def sym_eigen(C) -> tuple[np.ndarray, np.ndarray]:
@@ -121,17 +123,22 @@ def pca_basis(Xs, variance_threshold: float = 0.99, max_components: int | None =
         raise ValueError(f"expected a 2-D matrix, got shape {Xs.shape}")
     n, p = Xs.shape
     Xc = Xs - Xs.mean(axis=0)
-    total = float((Xc**2).sum()) / (n - 1)
+    M = (Xc @ Xc.T if p > n else Xc.T @ Xc) / (n - 1)
+    total = float(np.trace(M))
     if total <= 0.0:
         raise ValueError("zero total variance; nothing to decompose")
-    w, V = sym_eigen((Xc @ Xc.T if p > n else Xc.T @ Xc) / (n - 1))
+    w, V = sym_eigen(M)
     w = np.clip(w, 0.0, None)  # roundoff negatives, the matrix is a covariance or its Gram twin
     if p > n:
-        # Gram route: the nonzero eigenpairs, mapped back to p-space and renormalized
+        # Gram route: the nonzero eigenpairs, mapped back to p-space and renormalized in place;
+        # squares are summed 64 or more columns at a time, never one alone: numpy sums that pairwise
         nonzero = w > _RANK_TOL * max(float(w[0]), 1.0)
         w = w[nonzero]
         V = Xc.T @ V[:, nonzero]
-        V = _canonicalize_signs(V / np.sqrt((V**2).sum(axis=0)))
+        del Xc, M
+        blocks = np.array_split(V, max(1, V.shape[1] // 64), axis=1)
+        V /= np.sqrt(np.concatenate([(B**2).sum(axis=0) for B in blocks]))
+        _canonicalize_signs(V)
     cap = n - 1 if max_components is None else min(n - 1, max_components)
     k = retain_components(w, variance_threshold, max_components=cap)
     retained = float(w[:k].sum())

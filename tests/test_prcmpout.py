@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from pcout.baselines import ogk_detect, sign2_detect
 from pcout.chisq import chi2_quantile
 from pcout.prcmpout import (
     DetectorConfig,
@@ -16,7 +17,8 @@ from pcout.prcmpout import (
     transform_distances,
     translated_biweight,
 )
-from pcout.robust import robust_sphere
+from pcout.robust import MAD_SCALE, robust_sphere
+from pcout.spectral import pca_basis, retain_components
 
 
 def _sphered_scores(X):
@@ -359,6 +361,108 @@ class TestDetect:
     def test_degenerate_input_names_the_step(self):
         with pytest.raises(ValueError, match="sphering failed"):
             detect(np.ones((5, 3)))
+
+
+def _signs_out_of_place(V):
+    idx = np.argmax(np.abs(V), axis=0)
+    signs = np.sign(V[idx, np.arange(V.shape[1])])
+    signs[signs == 0] = 1.0
+    return V * signs
+
+
+def _sphere_out_of_place(X):
+    med = np.median(X, axis=0)
+    mad = MAD_SCALE * np.median(np.abs(X - med), axis=0)
+    keep = mad > 0.0
+    return (X[:, keep] - med[keep]) / mad[keep]
+
+
+def _eigenpairs_out_of_place(Xs):
+    """pca_basis's eigenpairs before retention, each step a fresh array."""
+    n, p = Xs.shape
+    Xc = Xs - Xs.mean(axis=0)
+    C = (Xc @ Xc.T if p > n else Xc.T @ Xc) / (n - 1)
+    w, V = np.linalg.eigh((C + C.T) / 2.0)
+    order = np.argsort(w)[::-1]
+    w, V = np.clip(w[order], 0.0, None), _signs_out_of_place(V[:, order])
+    if p > n:
+        nonzero = w > 1e-12 * max(float(w[0]), 1.0)
+        w = w[nonzero]
+        V = Xc.T @ V[:, nonzero]
+        V = _signs_out_of_place(V / np.sqrt((V**2).sum(axis=0)))
+    return w, V
+
+
+def _detect_out_of_place(X, cfg=DetectorConfig()):
+    """detect's weights and distances, every n x p step computed out of place."""
+    Xs = _sphere_out_of_place(X)
+    w, V = _eigenpairs_out_of_place(Xs)
+    n = X.shape[0]
+    k = retain_components(w, cfg.variance_threshold, max_components=n - 1)
+    Zs = _sphere_out_of_place(Xs @ V[:, :k])
+    w1, d1, kurt = stage1_location(Zs, cfg)
+    w2, d2 = stage2_scatter(Zs, cfg)
+    return w1, w2, combine_weights(w1, w2, cfg.scale_const_s), d1.transformed, d2.transformed, kurt
+
+
+def _planted(shape, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    X = rng.standard_normal(shape) * rng.uniform(0.5, 4.0, shape[1])
+    X[: shape[0] // 10] += 1.5
+    return X
+
+
+# Gram route with one block of squares, Gram route with two (129 components), covariance route
+_BIT_SHAPES = pytest.mark.parametrize(
+    "shape",
+    [(60, 300), (130, 300), (400, 12)],
+    ids=["gram-60x300", "gram-130x300", "covariance-400x12"],
+)
+
+
+class TestInPlaceArithmetic:
+    """detect and its steps compute in arrays they own, bit for bit as the
+    out-of-place arithmetic does, and hold at most four input-sized arrays."""
+
+    @pytest.mark.parametrize("shape", [(24, 40), (80, 6)], ids=["wide", "tall"])
+    def test_detectors_leave_the_input_as_it_was(self, shape, laid_out):
+        X = laid_out(_planted(shape, 47))
+        before = X.tobytes()
+        detect(X)
+        ogk_detect(X, 0.05)
+        sign2_detect(X, 0.05)
+        assert X.tobytes() == before
+
+    @_BIT_SHAPES
+    def test_reports_match_the_out_of_place_arithmetic(self, shape):
+        X = _planted(shape, 48)
+        report = detect(X)
+        got = (
+            report.w1,
+            report.w2,
+            report.w_final,
+            report.stage1_distances.transformed,
+            report.stage2_distances.transformed,
+            report.kurtosis_weights,
+        )
+        names = ("w1", "w2", "w_final", "d1", "d2", "kurtosis")
+        for name, a, b in zip(names, got, _detect_out_of_place(X), strict=True):
+            assert np.array_equal(a, b), name
+
+    @_BIT_SHAPES
+    def test_every_eigenpair_matches_the_out_of_place_arithmetic(self, shape):
+        Xs = _sphere_out_of_place(_planted(shape, 49))
+        w, V = _eigenpairs_out_of_place(Xs)
+        basis = pca_basis(Xs, 1.0)  # every nonzero component, up to the n - 1 cap
+        assert basis.n_components == min(V.shape[1], shape[0] - 1)
+        assert np.array_equal(basis.eigenvalues, w[: basis.n_components])
+        assert np.array_equal(basis.eigenvectors, V[:, : basis.n_components])
+
+    @pytest.mark.parametrize("shape", [(200, 1200), (4000, 50)], ids=["wide", "tall"])
+    def test_detect_holds_at_most_four_inputs(self, shape, traced_peak):
+        X = _planted(shape, 50)
+        small_square = 8 * min(shape) ** 2  # the n x n Gram or p x p covariance matrix
+        assert traced_peak(detect, X) <= 4 * X.nbytes + small_square
 
 
 class TestDetectorConfig:

@@ -133,3 +133,35 @@ class TestRobustSphere:
     def test_one_row_errors(self):
         with pytest.raises(ValueError):
             robust_sphere(np.array([[1.0, 2.0]]))
+
+
+class TestInPlaceArithmetic:
+    """median_mad and robust_sphere compute in temporaries they own."""
+
+    def test_the_input_is_left_as_it_was(self, laid_out):
+        rng = np.random.Generator(np.random.Philox(41))
+        values = rng.standard_normal((31, 7)) * 3.0 + 1.0
+        values[:, 2] = 4.0  # a zero-MAD column, which robust_sphere drops
+        X = laid_out(values)
+        before = X.tobytes()
+        median_mad(X)
+        median_mad(X, axis=0)
+        robust_sphere(X)
+        assert X.tobytes() == before
+
+    def test_sphering_matches_the_out_of_place_arithmetic(self, laid_out):
+        rng = np.random.Generator(np.random.Philox(42))
+        values = rng.standard_normal((40, 9)) * rng.uniform(0.1, 50.0, 9) + rng.uniform(-9, 9, 9)
+        values[:, 5] = -1.0
+        X = laid_out(values)
+        med = np.median(X, axis=0)
+        mad = MAD_SCALE * np.median(np.abs(X - med), axis=0)
+        keep = mad > 0.0
+        Xs, dropped = robust_sphere(X)
+        assert np.array_equal(Xs, (X[:, keep] - med[keep]) / mad[keep])
+        assert dropped == frozenset({5})
+
+    @pytest.mark.parametrize("shape", [(200, 1200), (4000, 50)], ids=["wide", "tall"])
+    def test_sphering_allocates_about_its_result_alone(self, shape, traced_peak):
+        X = np.random.Generator(np.random.Philox(43)).standard_normal(shape)
+        assert traced_peak(robust_sphere, X) <= 1.1 * X.nbytes

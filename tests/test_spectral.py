@@ -168,6 +168,17 @@ class TestPcaBasis:
         basis = pca_basis(X, 0.99)
         assert basis.total_variance == pytest.approx(np.trace(covariance(X)), rel=1e-12)
         assert basis.variance_fraction >= 0.99 or basis.n_components == 49
+        wide = rng.standard_normal((30, 90))  # Gram route: the n x n matrix has the same trace
+        gram_total = pca_basis(wide, 0.99).total_variance
+        assert gram_total == pytest.approx(np.trace(covariance(wide)), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(30, 90), (90, 12)], ids=["gram", "covariance"])
+    def test_the_input_is_left_as_it_was(self, shape, laid_out):
+        rng = np.random.Generator(np.random.Philox(44))
+        Xs = laid_out(rng.standard_normal(shape) + 2.0)
+        before = Xs.tobytes()
+        pca_basis(Xs, 0.99, max_components=shape[0] - 1)
+        assert Xs.tobytes() == before
 
 
 def test_norm_concentration_with_dimension():
