@@ -17,7 +17,7 @@ import numpy as np
 
 from .chisq import chi2_quantile
 from .prcmpout import checked_matrix, transform_distances
-from .robust import median_mad, robust_sphere
+from .robust import _lane_median_mad, median, median_mad, robust_sphere
 from .spectral import covariance, pca_basis, project, sym_eigen
 
 _SINGULAR_RTOL = 1e-12
@@ -86,43 +86,41 @@ def classical_detect(X, alpha: float) -> DetectionResult:
     return _chi2_cut(robust_distances(X, est), p, alpha, "classical")
 
 
-def _column_mad(v):
-    """Scaled MAD of each column of v."""
-    return median_mad(v, axis=0)[1]
-
-
-def ogk_pairwise_cov(x, y, scale=_column_mad):
+def ogk_pairwise_cov(x, y, scale=lambda v: _lane_median_mad(v)[1]):
     """Pairwise robust covariance: quarter-difference of squared scales.
 
     cov(x, y) = (scale(x + y)^2 - scale(x - y)^2) / 4; with the classical
     standard deviation as the scale this is exactly the sample covariance.
-    The default scale is the columnwise MAD, so x (n x 1) against y (n x k)
+    Samples lie on the last axis and the default scale is the MAD of each
+    lane, taken in place in x + y and x - y, so x (n,) against y (k x n)
     yields all k covariances.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape[0] != y.shape[0]:
+    if x.shape[-1] != y.shape[-1]:
         raise ValueError(f"samples differ in length: {x.shape} vs {y.shape}")
     return 0.25 * (scale(x + y) ** 2 - scale(x - y) ** 2)
 
 
 def _ogk_scores(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared OGK pipeline: MAD column scales, eigenvectors of the pairwise
-    matrix, and the data expressed in eigenvector coordinates."""
+    matrix, and the data expressed in eigenvector coordinates. The scaled
+    columns are also laid out as rows, so each step's sums and differences
+    are lanes that the MAD partitions in place."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
     p = X.shape[1]
     _, d = median_mad(X, axis=0)
     if np.any(d == 0.0):
-        bad = np.flatnonzero(d == 0.0)
-        raise ValueError(f"columns with zero MAD: {bad.tolist()}")
+        raise ValueError(f"columns with zero MAD: {np.flatnonzero(d == 0.0).tolist()}")
     Y = X / d
+    Yt = np.array(Y.T, order="C")
 
     U = np.eye(p)
     for j in range(p - 1):
-        U[j, j + 1 :] = ogk_pairwise_cov(Y[:, j : j + 1], Y[:, j + 1 :])
-        U[j + 1 :, j] = U[j, j + 1 :]
+        U[j, j + 1 :] = U[j + 1 :, j] = ogk_pairwise_cov(Yt[j], Yt[j + 1 :])
+    del Yt
 
     _, E = sym_eigen(U)
     return d, E, Y @ E
@@ -157,7 +155,7 @@ def ogk_reweight(X, est: LocationScatter, beta: float = OGK_BETA) -> LocationSca
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     n, p = X.shape
     d2 = robust_distances(X, est) ** 2
-    d0_sq = chi2_quantile(beta, p) * float(np.median(d2)) / chi2_quantile(0.5, p)
+    d0_sq = chi2_quantile(beta, p) * float(median(d2)) / chi2_quantile(0.5, p)
     keep = d2 < d0_sq
     if keep.sum() < p + 1:
         raise ValueError(
@@ -223,7 +221,7 @@ def sign2_detect(X, alpha: float) -> DetectionResult:
     check_alpha(alpha)
     n = X.shape[0]
 
-    D = X - np.median(X, axis=0)
+    D = X - median(X, axis=0)
     S, off_center = _unit_rows(D)
     if off_center.sum() < 2:
         raise ValueError("fewer than 2 rows away from the spatial center")

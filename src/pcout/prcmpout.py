@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chisq import chi2_quantile
-from .robust import median_mad, robust_sphere
+from .robust import median, median_mad, robust_sphere
 from .spectral import pca_basis, project
 
 
@@ -95,7 +95,7 @@ def transform_distances(raw, df: int) -> np.ndarray:
     weights are calibrated against.
     """
     raw = np.asarray(raw, dtype=float)
-    med = float(np.median(raw))
+    med = float(median(raw))
     if med <= 0.0:
         raise ValueError("median of distances is zero; distances are degenerate")
     return raw * (math.sqrt(chi2_quantile(0.5, df)) / med)

@@ -1,6 +1,7 @@
 """Order-statistics primitives: median/MAD, the spatial (L1) median and
 robust column sphering.
 
+Every median in the package is taken here, by one single-kth select.
 Everything here is a pure function of its inputs. Scale estimation uses the
 median absolute deviation multiplied by 1.4826, which makes it consistent for
 the standard deviation at the normal distribution.
@@ -17,17 +18,44 @@ _L1_TOL = 1e-10
 _L1_MAX_ITER = 500
 
 
-def median_mad(X, axis=None):
-    """Median and scaled MAD (median absolute deviation times 1.4826).
+def _lanes(X, axis):
+    """A C-ordered float copy of X with its lanes, the runs each median is taken
+    over, on the last axis: all of X for axis=None, else X's 1-D slices along axis."""
+    A = np.array(X if axis is None else np.moveaxis(X, axis, -1), dtype=float, order="C")
+    return A.ravel() if axis is None else A
 
-    With ``axis=None`` both come from the flattened input; with ``axis=0``
-    they are per-column arrays. X is left as it is: the deviations go to one
-    temporary, which the MAD's median then partitions in place.
-    """
-    med = np.median(X, axis=axis)
-    dev = np.subtract(X, med)
-    np.abs(dev, out=dev)
-    return med, MAD_SCALE * np.median(dev, axis=axis, overwrite_input=True)
+
+def _lane_median(A):
+    """np.median of each lane (last axis) of A, a C-ordered float array the caller
+    owns, partitioned in place at one kth: numpy selects one kth with SIMD, and
+    np.median's three with introselect. -0.0 reads 0.0 and a NaN lane gives NaN."""
+    h = A.shape[-1] // 2
+    A.partition(h, axis=-1)
+    med = A[..., h] + 0.0
+    if A.shape[-1] % 2 == 0:
+        med += A[..., :h].max(axis=-1)
+        med /= 2.0
+    return np.where(np.isnan(A[..., h:].max(axis=-1)), np.nan, med)[()]
+
+
+def _lane_median_mad(A):
+    """Median and scaled MAD of each lane of A, as _lane_median takes them; overwrites A."""
+    med = _lane_median(A)
+    A -= med[..., None]
+    np.abs(A, out=A)
+    return med, MAD_SCALE * _lane_median(A)
+
+
+def median(X, axis=None):
+    """np.median(X, axis) for an int axis or None, taken on a copy of X laid out as lanes."""
+    return _lane_median(_lanes(X, axis))
+
+
+def median_mad(X, axis=None):
+    """Median and scaled MAD (median absolute deviation times 1.4826), of all of
+    X for ``axis=None`` or per column for ``axis=0``. X is left as it is: the
+    deviations overwrite the one copy of X laid out as lanes."""
+    return _lane_median_mad(_lanes(X, axis))
 
 
 def l1_median(X) -> np.ndarray:
@@ -49,7 +77,7 @@ def l1_median(X) -> np.ndarray:
     if n == 1:
         return X[0].copy()
 
-    y = np.median(X, axis=0)
+    y = median(X, axis=0)
     for _ in range(_L1_MAX_ITER):
         diff = X - y
         dist = np.sqrt((diff**2).sum(axis=1))

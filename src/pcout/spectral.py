@@ -72,12 +72,16 @@ def sym_eigen(C) -> tuple[np.ndarray, np.ndarray]:
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {C.shape}")
-    scale = max(1.0, float(np.abs(C).max()))
-    if float(np.abs(C - C.T).max()) > _SYMMETRY_TOL * scale:
+    B = np.subtract(C, C.T)  # one owned buffer: the asymmetry, then the symmetrized C
+    if float(np.abs(B, out=B).max()) > _SYMMETRY_TOL * max(1.0, float(C.max()), -float(C.min())):
         raise ValueError("matrix is not symmetric within tolerance")
-    w, V = np.linalg.eigh((C + C.T) / 2.0)
+    np.add(C, C.T, out=B)
+    B /= 2.0
+    w, V = np.linalg.eigh(B)
+    del B
     order = np.argsort(w)[::-1]
-    return w[order], _canonicalize_signs(V[:, order])
+    V = V[:, order]  # eigh's own V goes here, before the signs take |V|
+    return w[order], _canonicalize_signs(V)
 
 
 def retain_components(eigenvalues, threshold: float, max_components: int | None = None) -> int:

@@ -3,6 +3,7 @@ import pytest
 
 from pcout.baselines import (
     LocationScatter,
+    _ogk_scores,
     _unit_rows,
     classical_detect,
     ogk_detect,
@@ -13,7 +14,8 @@ from pcout.baselines import (
     sign2_detect,
 )
 from pcout.prcmpout import detect
-from pcout.robust import median_mad
+from pcout.robust import MAD_SCALE, median_mad
+from pcout.spectral import sym_eigen
 
 
 def _with_cell(value):
@@ -148,6 +150,20 @@ class TestOgkPairwiseCov:
     def test_length_mismatch_errors(self):
         with pytest.raises(ValueError):
             ogk_pairwise_cov([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("shape", [(31, 6), (40, 7), (9, 12), (10, 12)])
+    def test_pairwise_matrix_matches_the_per_column_np_median_formula(self, shape):
+        X = np.random.Generator(np.random.Philox(49)).standard_normal(shape)
+        mad = lambda v: MAD_SCALE * np.median(np.abs(v - np.median(v, axis=0)), axis=0)
+        d = mad(X)
+        Y = X / d
+        U = np.eye(shape[1])
+        for j in range(shape[1] - 1):
+            x, y = Y[:, j : j + 1], Y[:, j + 1 :]
+            U[j, j + 1 :] = U[j + 1 :, j] = 0.25 * (mad(x + y) ** 2 - mad(x - y) ** 2)
+        got_d, got_E, _ = _ogk_scores(X)
+        assert got_d.tobytes() == d.tobytes()
+        assert got_E.tobytes() == sym_eigen(U)[1].tobytes()
 
 
 class TestOgkEstimate:

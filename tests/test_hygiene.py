@@ -130,3 +130,43 @@ def test_the_check_sees_an_unread_private_name():
     assert unread_private_names(sources) == [
         "a.py: _DEAD", "a.py: _ANNOTATED", "a.py: _recursive", "a.py: _Unused",
     ]
+
+
+# numpy's order statistics; only robust.py selects, and stage 1's one np.quantile stays
+_NUMPY_SELECTS = {"median", "nanmedian", "percentile", "nanpercentile", "quantile", "nanquantile"}
+
+
+def order_statistics(source: str) -> list[str]:
+    """Each numpy order statistic the module names, and each ``.partition``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            on_numpy = getattr(node.value, "id", None) in {"np", "numpy"}
+            if node.attr in {"partition", "argpartition"} or on_numpy and node.attr in _NUMPY_SELECTS:
+                found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found.extend(a.name for a in node.names if a.name in _NUMPY_SELECTS | {"partition"})
+    return found
+
+
+def test_every_median_in_src_goes_through_robust():
+    found = {
+        str(p.relative_to(ROOT)): order_statistics(p.read_text(encoding="utf-8"))
+        for p in SRC
+        if p.name != "robust.py"
+    }
+    assert {path: names for path, names in found.items() if names} == {
+        "src/pcout/prcmpout.py": ["quantile"],
+    }
+
+
+def test_the_check_sees_every_way_to_a_median():
+    source = (
+        "import numpy as np\n"
+        "from numpy import percentile\n"
+        "np.median(x); numpy.nanmedian(x); x.partition(3); np.quantile(x, 0.5)\n"
+        "robust.median(x); np.mean(x)\n"
+    )
+    assert sorted(order_statistics(source)) == [
+        "median", "nanmedian", "partition", "percentile", "quantile",
+    ]

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pcout.robust import MAD_SCALE, l1_median, median_mad, robust_sphere
+from pcout.robust import MAD_SCALE, l1_median, median, median_mad, robust_sphere
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 samples = st.lists(finite_floats, min_size=1, max_size=40)
@@ -26,6 +26,77 @@ class TestMedian:
         rng = np.random.default_rng(0)
         shuffled = rng.permutation(xs)
         assert median_mad(xs)[0] == median_mad(shuffled)[0]
+
+
+# ties, signed zeros and infinities, among ordinary values
+_cells = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """An n x p matrix with n in 1..9 (odd and even), p in 1..4, and NaN in
+    some columns only."""
+    n, p = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(_cells, min_size=n * p, max_size=n * p))).reshape(n, p)
+    for j in draw(st.lists(st.integers(0, p - 1), max_size=p - 1, unique=True)):
+        X[draw(st.integers(0, n - 1)), j] = np.nan
+    return X
+
+
+class TestSingleSelectKernel:
+    """robust.median and median_mad give np.median's bytes, on every layout."""
+
+    @staticmethod
+    def _same(got, want):
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_matrices(), st.sampled_from([None, 0]), st.booleans())
+    def test_median_and_mad_match_np_median(self, laid_out, values, axis, one_d):
+        X = laid_out(values[:, :1] if one_d else values)
+        X = X[:, 0] if one_d else X
+        before = X.tobytes()
+        with np.errstate(invalid="ignore"):  # inf - inf, in both computations
+            med = np.median(X, axis=axis)
+            mad = MAD_SCALE * np.median(np.abs(X - med), axis=axis)
+            self._same(median(X, axis=axis), med)
+            got_med, got_mad = median_mad(X, axis=axis)
+        self._same(got_med, med)
+        self._same(got_mad, mad)
+        assert X.tobytes() == before
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_long_lanes_with_ties(self, n):
+        # long lanes with many ties, beside the short ones the hypothesis test draws
+        X = np.random.Generator(np.random.Philox(n)).integers(-50, 50, (n, 3)).astype(float)
+        for axis in (None, 0):
+            med = np.median(X, axis=axis)
+            self._same(median(X, axis=axis), med)
+            self._same(median_mad(X, axis=axis)[1], MAD_SCALE * np.median(np.abs(X - med), axis=axis))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_smallest_samples(self, n):
+        x = np.arange(n, 0, -1.0)
+        self._same(median(x), np.median(x))
+        self._same(median_mad(x)[1], MAD_SCALE * np.median(np.abs(x - np.median(x))))
+
+    def test_a_nan_poisons_its_own_lane_only(self):
+        X = np.array([[1.0, 2.0], [np.nan, 3.0], [5.0, 4.0]])
+        med, mad = median_mad(X, axis=0)
+        assert np.isnan(med[0]) and np.isnan(mad[0])
+        assert med[1] == 3.0 and mad[1] == MAD_SCALE
+
+    def test_negative_zero_median_reads_zero_as_np_median_does(self):
+        self._same(median(np.array([-0.0, -0.0, 1.0])), 0.0)
+
+    @pytest.mark.parametrize("axis", [1, -1, 2])
+    def test_any_axis_of_a_3d_array(self, axis):
+        X = np.random.Generator(np.random.Philox(40)).standard_normal((4, 5, 6))
+        self._same(median(X, axis=axis), np.median(X, axis=axis))
 
 
 class TestMad:

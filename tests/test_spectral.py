@@ -63,6 +63,28 @@ class TestSymEigen:
         with pytest.raises(ValueError, match="symmetric"):
             sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_asymmetry_is_measured_against_the_largest_magnitude_negative_too(self):
+        # an asymmetry of 1 is within 1e-8 of |-1e9|, so the matrix is accepted
+        w, _ = sym_eigen(np.array([[-1e9, 1.0], [2.0, -1e9]]))
+        assert w == pytest.approx([-1e9 + 1.5, -1e9 - 1.5])
+
+    def test_eigenpairs_match_the_out_of_place_symmetrization(self):
+        rng = np.random.Generator(np.random.Philox(13))
+        A = rng.standard_normal((40, 40))
+        C = A @ A.T + 1e-12 * rng.standard_normal((40, 40))  # asymmetric within tolerance
+        w, V = np.linalg.eigh((C + C.T) / 2.0)
+        order = np.argsort(w)[::-1]
+        w, V = w[order], V[:, order]
+        V *= np.where(V[np.abs(V).argmax(axis=0), np.arange(40)] < 0, -1.0, 1.0)
+        got_w, got_V = sym_eigen(C)
+        assert got_w.tobytes() == w.tobytes()
+        assert got_V.tobytes() == V.tobytes()
+
+    def test_peak_is_twice_its_matrix(self, traced_peak):
+        X = np.random.Generator(np.random.Philox(14)).standard_normal((1200, 600))
+        C = covariance(X)
+        assert traced_peak(sym_eigen, C) <= 2.1 * C.nbytes
+
     def test_spectrum_invariant_under_orthogonal_similarity(self):
         rng = np.random.Generator(np.random.Philox(12))
         A = rng.standard_normal((6, 6))
