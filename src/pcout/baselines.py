@@ -1,6 +1,8 @@
 """Comparison detectors: classical Mahalanobis with a chi-square cutoff, the
-orthogonalized pairwise-robust (OGK) location/scatter estimator with an
-optional hard-rejection reweighting step, and a spatial-sign PCA detector.
+orthogonalized pairwise-robust (OGK) location/scatter estimator, and a
+spatial-sign PCA detector. When n > p, OGK detection always refines its
+estimate by hard rejection at OGK_BETA = 0.9; when p >= n it scores the row
+norms of the robustly sphered eigenvector scores instead.
 
 All three turn distances into flags the same way (``_chi2_cut``): flagged
 beyond sqrt(chi2(df, 1 - alpha)). OGK and sign2 first median-calibrate their

@@ -216,6 +216,8 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"--methods names a method more than once: {args.methods!r}")
     alpha = _alpha_for(methods, args.alpha)
     if args.repeats < 3:
         raise ConfigError(f"--repeats must be at least 3, got {args.repeats}")

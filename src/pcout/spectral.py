@@ -2,9 +2,10 @@
 
 When the number of columns exceeds the number of rows, the eigenpairs of the
 p x p covariance are recovered from the n x n Gram matrix instead, which keeps
-the cost tied to the sample size. Eigenvector signs are canonicalized (largest
-magnitude entry positive) so results are deterministic and stable under
-column sign flips of the input.
+the cost tied to the sample size. Eigenvectors keep the signs LAPACK gives
+them: every consumer in the package uses a component only through squared
+norms, per-column medians and MADs of its scores, or products in which its
+sign cancels, so no output depends on those signs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ _SYMMETRY_TOL = 1e-8
 class PcaBasis:
     """Retained eigenpairs of a covariance matrix.
 
-    eigenvectors: p x k matrix with orthonormal columns.
+    eigenvectors: p x k matrix with orthonormal columns, in no sign convention.
     eigenvalues: the k retained variances, nonincreasing.
     variance_fraction: share of total variance the retained pairs cover.
     total_variance: trace of the decomposed matrix, the covariance or its Gram twin.
@@ -52,22 +53,14 @@ def covariance(X) -> np.ndarray:
     return (C + C.T) / 2.0
 
 
-def _canonicalize_signs(V: np.ndarray) -> np.ndarray:
-    """Flip, in place, each column of V (an array the caller owns) so that its
-    largest |entry| is positive. |V| is laid out transposed, so argmax copies nothing."""
-    idx = np.argmax(np.abs(V.T, order="C"), axis=1)
-    signs = np.sign(V[idx, np.arange(V.shape[1])])
-    signs[signs == 0] = 1.0
-    return np.multiply(V, signs, out=V)
-
-
 def sym_eigen(C) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (nonincreasing) and orthonormal eigenvectors of symmetric C.
 
     Works for any symmetric matrix, indefinite ones included; clamping of
     roundoff-negative eigenvalues happens where a covariance is expected
     (see pca_basis). Raises if C is asymmetric beyond _SYMMETRY_TOL relative
-    to its magnitude.
+    to its magnitude. Each eigenvector keeps the sign np.linalg.eigh gives it;
+    callers in the package are invariant to those signs.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
@@ -80,8 +73,7 @@ def sym_eigen(C) -> tuple[np.ndarray, np.ndarray]:
     w, V = np.linalg.eigh(B)
     del B
     order = np.argsort(w)[::-1]
-    V = V[:, order]  # eigh's own V goes here, before the signs take |V|
-    return w[order], _canonicalize_signs(V)
+    return w[order], V[:, order]
 
 
 def retain_components(eigenvalues, threshold: float, max_components: int | None = None) -> int:
@@ -134,15 +126,12 @@ def pca_basis(Xs, variance_threshold: float = 0.99, max_components: int | None =
     w, V = sym_eigen(M)
     w = np.clip(w, 0.0, None)  # roundoff negatives, the matrix is a covariance or its Gram twin
     if p > n:
-        # Gram route: the nonzero eigenpairs, mapped back to p-space and renormalized in place;
-        # squares are summed 64 or more columns at a time, never one alone: numpy sums that pairwise
+        # Gram route: the nonzero eigenpairs, mapped back to p-space and renormalized in place
         nonzero = w > _RANK_TOL * max(float(w[0]), 1.0)
         w = w[nonzero]
         V = Xc.T @ V[:, nonzero]
         del Xc, M
-        blocks = np.array_split(V, max(1, V.shape[1] // 64), axis=1)
-        V /= np.sqrt(np.concatenate([(B**2).sum(axis=0) for B in blocks]))
-        _canonicalize_signs(V)
+        V /= np.sqrt((V**2).sum(axis=0))
     cap = n - 1 if max_components is None else min(n - 1, max_components)
     k = retain_components(w, variance_threshold, max_components=cap)
     retained = float(w[:k].sum())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -331,3 +333,39 @@ class TestOgkDetect:
         assert result.method == "ogk"
         assert result.flags[:8].all()
         assert result.flags[8:].mean() < 0.2
+
+
+def _leaves(result):
+    """The bytes of every array in a result and the repr of every other field."""
+    if dataclasses.is_dataclass(result):
+        fields = dataclasses.fields(result)
+        return [leaf for f in fields for leaf in _leaves(getattr(result, f.name))]
+    return [result.tobytes() if isinstance(result, np.ndarray) else repr(result)]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(60, 300), (40, 120), (400, 12)],
+    ids=["gram-60x300", "ogk-wide-40x120", "covariance-400x12"],
+)
+def test_no_output_depends_on_the_signs_of_the_eigenvectors(shape, monkeypatch):
+    rng = np.random.Generator(np.random.Philox(58))
+    X = rng.standard_normal(shape) * rng.uniform(0.5, 4.0, shape[1])
+    X[: shape[0] // 10] += 1.5
+    runs = [detect, lambda X: sign2_detect(X, 0.05), lambda X: ogk_detect(X, 0.05)]
+    if shape[0] > shape[1]:
+        runs += [lambda X: classical_detect(X, 0.05), ogk_estimate]
+    plain = [_leaves(run(X)) for run in runs]
+
+    eigh, calls = np.linalg.eigh, []
+
+    def every_other_column_negated(a):
+        w, V = eigh(a)
+        calls.append(a)
+        V[:, ::2] *= -1.0
+        return w, V
+
+    monkeypatch.setattr(np.linalg, "eigh", every_other_column_negated)
+    flipped = [_leaves(run(X)) for run in runs]
+    assert len(calls) >= len(runs)
+    assert flipped == plain

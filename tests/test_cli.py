@@ -893,7 +893,7 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("flags", [["--alpha", "2"], ["--methods", "prcmpout", "--alpha", "0"],
                                        ["--repeats", "2"], ["--methods", "prcmpout", "--alpha", "0.1"],
-                                       ["--alpha", "1e-17"]])
+                                       ["--alpha", "1e-17"], ["--methods", "prcmpout,prcmpout"]])
     def test_bad_alpha_or_repeats_is_a_config_error(self, flags, capsys):
         assert main(["bench", *flags, "--p", "20"]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err

@@ -170,3 +170,49 @@ def test_the_check_sees_every_way_to_a_median():
     assert sorted(order_statistics(source)) == [
         "median", "nanmedian", "partition", "percentile", "quantile",
     ]
+
+
+# numpy's and scipy's eigendecompositions and SVD; sym_eigen makes the one call
+_EIGEN_ROUTINES = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}
+
+
+def eigendecompositions(source: str) -> list[str]:
+    """``function: routine`` for each eigendecomposition or SVD the module
+    names, as an attribute or in an import; ``<module>`` outside functions."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr in _EIGEN_ROUTINES:
+            found.append(f"{where}: {node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            found.extend(f"{where}: {a.name}" for a in node.names if a.name in _EIGEN_ROUTINES)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_every_eigendecomposition_in_src_goes_through_sym_eigen():
+    found = {str(p.relative_to(ROOT)): eigendecompositions(p.read_text(encoding="utf-8")) for p in SRC}
+    assert {path: names for path, names in found.items() if names} == {
+        "src/pcout/spectral.py": ["sym_eigen: eigh"],
+    }
+
+
+def test_the_check_sees_every_eigendecomposition():
+    source = (
+        "import numpy as np\n"
+        "from scipy.linalg import eigh, svd as SVD\n"
+        "def sym_eigen(C):\n"
+        "    return np.linalg.eigh(C)\n"
+        "def other(C):\n"
+        "    np.linalg.eigvalsh(C); np.linalg.eig(C); numpy.linalg.eigvals(C); la.svd(C)\n"
+        "    np.linalg.norm(C); np.linalg.solve(C, C); sym_eigen(C)\n"
+    )
+    assert eigendecompositions(source) == [
+        "<module>: eigh", "<module>: svd", "sym_eigen: eigh",
+        "other: eigvalsh", "other: eig", "other: eigvals", "other: svd",
+    ]

@@ -363,13 +363,6 @@ class TestDetect:
             detect(np.ones((5, 3)))
 
 
-def _signs_out_of_place(V):
-    idx = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[idx, np.arange(V.shape[1])])
-    signs[signs == 0] = 1.0
-    return V * signs
-
-
 def _sphere_out_of_place(X):
     med = np.median(X, axis=0)
     mad = MAD_SCALE * np.median(np.abs(X - med), axis=0)
@@ -384,12 +377,12 @@ def _eigenpairs_out_of_place(Xs):
     C = (Xc @ Xc.T if p > n else Xc.T @ Xc) / (n - 1)
     w, V = np.linalg.eigh((C + C.T) / 2.0)
     order = np.argsort(w)[::-1]
-    w, V = np.clip(w[order], 0.0, None), _signs_out_of_place(V[:, order])
+    w, V = np.clip(w[order], 0.0, None), V[:, order]
     if p > n:
         nonzero = w > 1e-12 * max(float(w[0]), 1.0)
         w = w[nonzero]
         V = Xc.T @ V[:, nonzero]
-        V = _signs_out_of_place(V / np.sqrt((V**2).sum(axis=0)))
+        V = V / np.sqrt((V**2).sum(axis=0))
     return w, V
 
 
@@ -412,7 +405,7 @@ def _planted(shape, seed):
     return X
 
 
-# Gram route with one block of squares, Gram route with two (129 components), covariance route
+# Gram route at 59 and at 129 components, covariance route
 _BIT_SHAPES = pytest.mark.parametrize(
     "shape",
     [(60, 300), (130, 300), (400, 12)],
