@@ -8,6 +8,10 @@ All three turn distances into flags the same way (``_chi2_cut``): flagged
 beyond sqrt(chi2(df, 1 - alpha)). OGK and sign2 first median-calibrate their
 distances with ``prcmpout.transform_distances``, the rule PrCmpOut applies, and
 OGK's wide branch spheres its scores with ``robust.robust_sphere``.
+
+OGK's p(p - 1)/2 pairwise scales are taken block by block: each block writes
+the sums and differences of consecutive pairs of columns into one buffer and
+takes their MADs with one select.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ _SINGULAR_RTOL = 1e-12
 
 # Hard-rejection level of the OGK reweighting step.
 OGK_BETA = 0.9
+
+# Cell budget (float64 samples, 2 MiB) of a block in OGK's pairwise step: a
+# block holds at most max(p - 1, _OGK_BLOCK_CELLS // n) lanes of n samples.
+_OGK_BLOCK_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -93,22 +101,61 @@ def ogk_pairwise_cov(x, y, scale=lambda v: _lane_median_mad(v)[1]):
 
     cov(x, y) = (scale(x + y)^2 - scale(x - y)^2) / 4; with the classical
     standard deviation as the scale this is exactly the sample covariance.
-    Samples lie on the last axis and the default scale is the MAD of each
-    lane, taken in place in x + y and x - y, so x (n,) against y (k x n)
-    yields all k covariances.
+    x and y are equal-shaped stacks of lanes, samples on the last axis, and
+    lane k of x pairs with lane k of y. The default scale is the MAD of each
+    lane, taken in place in x + y and x - y.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape[-1] != y.shape[-1]:
-        raise ValueError(f"samples differ in length: {x.shape} vs {y.shape}")
-    return 0.25 * (scale(x + y) ** 2 - scale(x - y) ** 2)
+    if x.shape != y.shape:
+        raise ValueError(f"lane stacks differ in shape: {x.shape} vs {y.shape}")
+    return _quarter_difference(scale(x + y), scale(x - y))
+
+
+def _quarter_difference(plus, minus):
+    """The OGK covariance from the scales of x + y and x - y."""
+    return 0.25 * (plus**2 - minus**2)
+
+
+def _ogk_pairwise(Yt) -> np.ndarray:
+    """The pairwise covariances of the rows of Yt (p lanes of n samples), for
+    the pairs i < j in row-major order.
+
+    The pairs are taken in blocks of consecutive pairs: a block writes its
+    sums and then its differences into one C-ordered buffer, reused from
+    block to block, and takes all their MADs with one select. A block holds
+    at most max(p - 1, _OGK_BLOCK_CELLS // n) lanes (and at least one pair):
+    the whole triangle at the sweep's sizes, else several short rows of it
+    or part of a long one. So the buffer is no larger than the (p - 1) x n
+    sums of one row that a row-at-a-time loop holds, unless that is smaller
+    than the budget."""
+    p, n = Yt.shape
+    cov = np.empty(p * (p - 1) // 2)
+    pairs = max(1, max(p - 1, _OGK_BLOCK_CELLS // n) // 2)
+    buf = np.empty(2 * min(pairs, cov.size) * n)
+    i, j = 0, 1  # the next pair
+    for start in range(0, cov.size, pairs):
+        m = min(pairs, cov.size - start)
+        lanes = buf[: 2 * m * n].reshape(2 * m, n)
+        filled = 0
+        while filled < m:
+            k = min(p - j, m - filled)
+            np.add(Yt[i], Yt[j : j + k], out=lanes[filled : filled + k])
+            np.subtract(Yt[i], Yt[j : j + k], out=lanes[m + filled : m + filled + k])
+            filled += k
+            j += k
+            if j == p:
+                i, j = i + 1, i + 2
+        scales = _lane_median_mad(lanes)[1]
+        cov[start : start + m] = _quarter_difference(scales[:m], scales[m:])
+    return cov
 
 
 def _ogk_scores(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared OGK pipeline: MAD column scales, eigenvectors of the pairwise
     matrix, and the data expressed in eigenvector coordinates. The scaled
-    columns are also laid out as rows, so each step's sums and differences
-    are lanes that the MAD partitions in place."""
+    columns are also laid out as rows (lanes), from which ``_ogk_pairwise``
+    builds its sums and differences block by block."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
@@ -120,9 +167,9 @@ def _ogk_scores(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Yt = np.array(Y.T, order="C")
 
     U = np.eye(p)
-    for j in range(p - 1):
-        U[j, j + 1 :] = U[j + 1 :, j] = ogk_pairwise_cov(Yt[j], Yt[j + 1 :])
-    del Yt
+    upper = np.triu(np.ones((p, p), dtype=bool), 1)
+    U[upper] = U.T[upper] = _ogk_pairwise(Yt)
+    del Yt, upper
 
     _, E = sym_eigen(U)
     return d, E, Y @ E

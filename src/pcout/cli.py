@@ -162,9 +162,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     if not text.strip():
         return []
     try:
-        return [int(tok) for tok in text.split(",")]
+        values = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad {what}: {text!r}") from exc
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{what} names a value more than once: {text!r}")
+    return values
 
 
 def _cmd_sweep(args) -> int:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pcout import baselines, robust
 from pcout.baselines import (
     LocationScatter,
     _ogk_scores,
@@ -16,8 +17,20 @@ from pcout.baselines import (
     sign2_detect,
 )
 from pcout.prcmpout import detect
-from pcout.robust import MAD_SCALE, median_mad
+from pcout.robust import MAD_SCALE, _lane_median_mad, median_mad
 from pcout.spectral import sym_eigen
+
+
+def _per_column_pairwise(X):
+    """OGK's column MADs and pairwise matrix by the per-column np.median formula."""
+    mad = lambda v: MAD_SCALE * np.median(np.abs(v - np.median(v, axis=0)), axis=0)
+    d = mad(X)
+    Y = X / d
+    U = np.eye(X.shape[1])
+    for j in range(X.shape[1] - 1):
+        x, y = Y[:, j : j + 1], Y[:, j + 1 :]
+        U[j, j + 1 :] = U[j + 1 :, j] = 0.25 * (mad(x + y) ** 2 - mad(x - y) ** 2)
+    return d, U
 
 
 def _with_cell(value):
@@ -153,19 +166,57 @@ class TestOgkPairwiseCov:
         with pytest.raises(ValueError):
             ogk_pairwise_cov([1.0, 2.0], [1.0])
 
-    @pytest.mark.parametrize("shape", [(31, 6), (40, 7), (9, 12), (10, 12)])
+    # One block (100 x 40 is the sweep's largest), several blocks (the triangles of
+    # 30 x 150 and 29 x 150 exceed the cell budget), and the wide branch, p >= n,
+    # at odd and even n.
+    @pytest.mark.parametrize(
+        "shape", [(31, 6), (40, 7), (9, 12), (10, 12), (100, 40), (30, 150), (29, 150)]
+    )
     def test_pairwise_matrix_matches_the_per_column_np_median_formula(self, shape):
         X = np.random.Generator(np.random.Philox(49)).standard_normal(shape)
-        mad = lambda v: MAD_SCALE * np.median(np.abs(v - np.median(v, axis=0)), axis=0)
-        d = mad(X)
-        Y = X / d
-        U = np.eye(shape[1])
-        for j in range(shape[1] - 1):
-            x, y = Y[:, j : j + 1], Y[:, j + 1 :]
-            U[j, j + 1 :] = U[j + 1 :, j] = 0.25 * (mad(x + y) ** 2 - mad(x - y) ** 2)
+        d, U = _per_column_pairwise(X)
         got_d, got_E, _ = _ogk_scores(X)
         assert got_d.tobytes() == d.tobytes()
         assert got_E.tobytes() == sym_eigen(U)[1].tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 31 * 30])
+    @pytest.mark.parametrize("shape", [(31, 12), (31, 13)])
+    def test_blocks_that_cut_rows_give_the_same_matrix(self, shape, cells, monkeypatch):
+        # Budgets this small make each block half of the longest row (cells=1),
+        # as when p is large, or 15 pairs; either way blocks start and end
+        # inside rows of the triangle.
+        monkeypatch.setattr(baselines, "_OGK_BLOCK_CELLS", cells)
+        X = np.random.Generator(np.random.Philox(50)).standard_normal(shape)
+        _, U = _per_column_pairwise(X)
+        assert _ogk_scores(X)[1].tobytes() == sym_eigen(U)[1].tobytes()
+
+    # 100 x 40: the 780 pairs fit one block of 2 * 780 lanes. 30 x 150: blocks of
+    # max(149, 2**18 // 30) // 2 = 4369 pairs, so its 11175 pairs take 3 blocks.
+    @pytest.mark.parametrize("shape, calls", [((100, 40), 1 + 1), ((30, 150), 1 + 3)])
+    def test_one_select_per_block(self, shape, calls, monkeypatch):
+        count = []
+
+        def counted(A):
+            count.append(A.shape)
+            return _lane_median_mad(A)
+
+        monkeypatch.setattr(robust, "_lane_median_mad", counted)  # the column MADs
+        monkeypatch.setattr(baselines, "_lane_median_mad", counted)  # the blocks
+        _ogk_scores(np.random.Generator(np.random.Philox(51)).standard_normal(shape))
+        assert len(count) == calls
+
+    @pytest.mark.parametrize("shape", [(200, 1200), (3000, 100)])
+    def test_peak_is_no_more_than_a_row_at_a_time(self, shape, traced_peak):
+        # What building the matrix one row of the triangle at a time holds: Y and
+        # its lanes copy Yt, one (p - 1) x n array of sums or of differences, and
+        # the p x p terms (U, and the symmetrized copy and eigenvectors in
+        # sym_eigen). At 200 x 1200 the p x p terms set the peak; at 3000 x 100
+        # the lanes do, and holding a whole row's sums and differences at once
+        # (another (p - 1) x n) would exceed the bound.
+        n, p = shape
+        X = np.random.Generator(np.random.Philox(52)).standard_normal(shape)
+        bound = 8 * (2 * n * p + (p - 1) * n + 3 * p * p)
+        assert traced_peak(_ogk_scores, X) <= bound
 
 
 class TestOgkEstimate:

@@ -860,6 +860,20 @@ class TestSweepCommand:
         assert main(["sweep", "--p-values", "ten"]) == EXIT_CONFIG
         assert main(["sweep", "--p-values", "0,10"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p-values", "10,10"], "--p-values names a value more than once: '10,10'"),
+            (["--p-values", "10", "--outlier-indices", "5,5"],
+             "--outlier-indices names a value more than once: '5,5'"),
+        ],
+    )
+    def test_a_repeated_value_is_a_config_error(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *flags, "--replications", "2", "--output", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchCommand:
     def test_reports_positive_medians(self, tmp_path, capsys):
