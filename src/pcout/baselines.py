@@ -96,24 +96,10 @@ def classical_detect(X, alpha: float) -> DetectionResult:
     return _chi2_cut(robust_distances(X, est), p, alpha, "classical")
 
 
-def ogk_pairwise_cov(x, y, scale=lambda v: _lane_median_mad(v)[1]):
-    """Pairwise robust covariance: quarter-difference of squared scales.
-
-    cov(x, y) = (scale(x + y)^2 - scale(x - y)^2) / 4; with the classical
-    standard deviation as the scale this is exactly the sample covariance.
-    x and y are equal-shaped stacks of lanes, samples on the last axis, and
-    lane k of x pairs with lane k of y. The default scale is the MAD of each
-    lane, taken in place in x + y and x - y.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"lane stacks differ in shape: {x.shape} vs {y.shape}")
-    return _quarter_difference(scale(x + y), scale(x - y))
-
-
 def _quarter_difference(plus, minus):
-    """The OGK covariance from the scales of x + y and x - y."""
+    """The OGK covariance from the scales of x + y and x - y:
+    (scale(x + y)^2 - scale(x - y)^2) / 4. With the classical standard
+    deviation as the scale this is exactly the sample covariance."""
     return 0.25 * (plus**2 - minus**2)
 
 

@@ -115,6 +115,23 @@ def translated_biweight(d, M: float, c: float):
     return (1.0 - np.clip((d - M) / (c - M), 0.0, 1.0) ** 2) ** 2
 
 
+def _row_norms(Z, weights=None) -> np.ndarray:
+    """sqrt(sum_j weights_j z_j^2) for each row of Z, all weights 1 by
+    default, where the plain computation overflows: the stages take it
+    when theirs did.
+
+    A row whose largest |entry| is 1 or more is first multiplied by the
+    power of two that puts that entry in [0.5, 1), and its norm by the
+    inverse after the square root, so no square overflows; no row is scaled
+    up. The scaling is exact, so the norms are the plain computation's
+    wherever that one stays finite.
+    """
+    exponent = np.maximum(np.frexp(np.maximum(Z.max(axis=1), -Z.min(axis=1)))[1], 0)
+    Zn = np.ldexp(Z, -exponent[:, None])
+    Zn *= Zn
+    return np.ldexp(np.sqrt(Zn.sum(axis=1) if weights is None else Zn @ weights), exponent)
+
+
 def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarray, DistanceSet, np.ndarray]:
     """Location-outlier weights from kurtosis-weighted norms of sphered scores.
 
@@ -128,17 +145,19 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
     """
     Zs = np.asarray(Zs, dtype=float)
     p_star = Zs.shape[1]
-    Z2 = Zs * Zs
     with np.errstate(over="ignore"):  # a score past about 1e77 overflows z^4
+        Z2 = Zs * Zs
         kurt = np.abs(np.mean(Z2 * Z2, axis=0) - 3.0)
+    infinite = np.isinf(kurt)
     # infinite kurtoses share the weight evenly: the limit of kurt / total as they grow
-    weight = np.isinf(kurt) if np.isinf(kurt).any() else kurt
+    weight = infinite if infinite.any() else kurt
     total = weight.sum()
     if total > 0.0:
         rel = weight / total
     else:
         rel = np.full(p_star, 1.0 / p_star)  # no kurtosis signal anywhere: weight evenly
-    d = transform_distances(np.sqrt(Z2 @ rel), p_star)
+    # with every z^4 finite no z^2 overflowed
+    d = transform_distances(_row_norms(Zs, rel) if infinite.any() else np.sqrt(Z2 @ rel), p_star)
     m_cut = float(np.quantile(d, cfg.stage1_full_weight_fraction))
     med, mad = median_mad(d)
     c_cut = float(med + cfg.stage1_c_mad_multiplier * mad)
@@ -158,7 +177,11 @@ def stage2_scatter(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarr
     """
     Zs = np.asarray(Zs, dtype=float)
     p_star = Zs.shape[1]
-    d = transform_distances(np.sqrt((Zs**2).sum(axis=1)), p_star)
+    with np.errstate(over="ignore"):  # a score past about 1e154 overflows z^2
+        d = np.sqrt((Zs**2).sum(axis=1))
+    if math.isinf(d.max()):
+        d = _row_norms(Zs)
+    d = transform_distances(d, p_star)
     m_cut = math.sqrt(chi2_quantile(cfg.stage2_m_quantile, p_star))
     c_cut = math.sqrt(chi2_quantile(cfg.stage2_c_quantile, p_star))
     return translated_biweight(d, m_cut, c_cut), DistanceSet(d, m_cut, c_cut)

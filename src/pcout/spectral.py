@@ -10,6 +10,8 @@ sign cancels, so no output depends on those signs.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +121,12 @@ def pca_basis(Xs, variance_threshold: float = 0.99, max_components: int | None =
         raise ValueError(f"expected a 2-D matrix, got shape {Xs.shape}")
     n, p = Xs.shape
     Xc = Xs - Xs.mean(axis=0)
+    # M's trace sums n * p squares: past the float range, decompose M / 4**e,
+    # Xc scaled by the exact power of two 2**-e that puts its largest |entry| in [0.5, 1)
+    big = max(float(Xc.max(initial=0.0)), -float(Xc.min(initial=0.0)))  # no |Xc| copy
+    e = int(np.frexp(big)[1]) if big > math.sqrt(sys.float_info.max / (n * p)) else 0
+    if e:
+        np.ldexp(Xc, -e, out=Xc)
     M = (Xc @ Xc.T if p > n else Xc.T @ Xc) / (n - 1)
     total = float(np.trace(M))
     if total <= 0.0:
@@ -134,10 +142,14 @@ def pca_basis(Xs, variance_threshold: float = 0.99, max_components: int | None =
         V /= np.sqrt((V**2).sum(axis=0))
     cap = n - 1 if max_components is None else min(n - 1, max_components)
     k = retain_components(w, variance_threshold, max_components=cap)
-    retained = float(w[:k].sum())
+    fraction = min(float(w[:k].sum()) / total, 1.0)
+    eigenvalues = w[:k].copy()
+    if e:  # back to the units of Xs, where a variance past the float range reads inf
+        with np.errstate(over="ignore"):
+            eigenvalues, total = np.ldexp(eigenvalues, 2 * e), float(np.ldexp(total, 2 * e))
     return PcaBasis(
         eigenvectors=V[:, :k],
-        eigenvalues=w[:k].copy(),
-        variance_fraction=min(retained / total, 1.0),
+        eigenvalues=eigenvalues,
+        variance_fraction=fraction,
         total_variance=total,
     )

@@ -6,12 +6,13 @@ import pytest
 from pcout import baselines, robust
 from pcout.baselines import (
     LocationScatter,
+    _ogk_pairwise,
     _ogk_scores,
+    _quarter_difference,
     _unit_rows,
     classical_detect,
     ogk_detect,
     ogk_estimate,
-    ogk_pairwise_cov,
     ogk_reweight,
     robust_distances,
     sign2_detect,
@@ -147,12 +148,15 @@ class TestOgkPairwiseCov:
     def test_self_covariance_is_the_squared_scale(self):
         rng = np.random.Generator(np.random.Philox(45))
         x = rng.standard_normal(100)
-        assert ogk_pairwise_cov(x, x) == pytest.approx(median_mad(x)[1] ** 2, rel=1e-12)
+        cov = _ogk_pairwise(np.stack([x, x]))
+        assert cov.shape == (1,)
+        assert cov[0] == pytest.approx(median_mad(x)[1] ** 2, rel=1e-12)
 
     def test_antisymmetric_case(self):
         rng = np.random.Generator(np.random.Philox(46))
         x = rng.standard_normal(100)
-        assert ogk_pairwise_cov(x, -x) == pytest.approx(-(median_mad(x)[1] ** 2), rel=1e-12)
+        cov = _ogk_pairwise(np.stack([x, -x]))
+        assert cov[0] == pytest.approx(-(median_mad(x)[1] ** 2), rel=1e-12)
 
     def test_classical_scale_recovers_the_sample_covariance(self):
         rng = np.random.Generator(np.random.Philox(47))
@@ -160,11 +164,7 @@ class TestOgkPairwiseCov:
         y = 0.3 * x + rng.standard_normal(60)
         sd = lambda v: float(np.std(v, ddof=1))
         brute = float(np.sum((x - x.mean()) * (y - y.mean())) / 59)
-        assert ogk_pairwise_cov(x, y, scale=sd) == pytest.approx(brute, abs=1e-12)
-
-    def test_length_mismatch_errors(self):
-        with pytest.raises(ValueError):
-            ogk_pairwise_cov([1.0, 2.0], [1.0])
+        assert _quarter_difference(sd(x + y), sd(x - y)) == pytest.approx(brute, abs=1e-12)
 
     # One block (100 x 40 is the sweep's largest), several blocks (the triangles of
     # 30 x 150 and 29 x 150 exceed the cell budget), and the wide branch, p >= n,

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -82,6 +83,11 @@ def _outcome(path, load=load_csv):
     except InputDataError as exc:
         return str(exc)
     return dm.values.shape, dm.values.view(np.int64).tolist(), dm.row_ids, dm.column_names
+
+
+def _with_cell_2(token):
+    """A CSV line edit: the line with its third cell replaced by ``token``."""
+    return lambda line: ",".join([*line.split(",")[:2], token, *line.split(",")[3:]])
 
 
 @pytest.fixture
@@ -314,6 +320,124 @@ class TestLoadCsv:
         path = tmp_path_factory.mktemp("csv") / "m.csv"
         path.write_bytes(content)
         assert _outcome(path) == _outcome(path, _exact_route)
+
+
+    # ----- the parallel route: ranges forced by a one-byte floor on 3 cores -----
+
+    @pytest.fixture
+    def in_ranges(self, monkeypatch):
+        """load_csv with every plain file of 3 or more lines cut into 3
+        ranges; after each load, returned or raised, no child is left."""
+        monkeypatch.setattr(dataio, "_RANGE_FLOOR", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+        def load(path):
+            try:
+                return load_csv(path)
+            finally:
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(-1, os.WNOHANG)
+
+        return load
+
+    @staticmethod
+    def _ranged_csv(tmp_path, ids, newline="\n"):
+        """30 rows of 4 columns; ids: "mol" for an id column, "last" for one
+        non-numeric first cell in the last row, "long" for an id column whose
+        first id is about half the file, so that range 1 holds one line."""
+        rows = TestLoadCsv._rows(30)
+        if ids in ("mol", "long"):
+            rows = [[f"mol-{i}", *row[1:]] for i, row in enumerate(rows)]
+        if ids == "long":
+            rows[0][0] = "mol-" + "m" * 1600
+        if ids == "last":
+            rows[-1][0] = "z"
+        lines = [",".join(f"c{j}" for j in range(4))] + [",".join(row) for row in rows]
+        path = tmp_path / "m.csv"
+        path.write_bytes("".join(line + newline for line in lines).encode())
+        return path
+
+    @staticmethod
+    def _ranges(path):
+        with open(path, "rb") as fh:
+            return dataio._plain_body_lines(fh)
+
+    @pytest.mark.parametrize(
+        "ids, newline",
+        [("mol", "\n"), (None, "\n"), (None, "\r\n"), ("last", "\n"), ("long", "\n")],
+        ids=["id-column", "no-id-column", "crlf", "id-in-the-last-range", "one-line-range"],
+    )
+    def test_ranges_read_the_bits_of_the_serial_route(
+        self, tmp_path, monkeypatch, in_ranges, ids, newline
+    ):
+        path = self._ranged_csv(tmp_path, ids, newline)
+        ranges = self._ranges(path)
+        assert len(ranges) == 3 and sum(k for _, k in ranges) == 30
+        if ids == "long":
+            assert ranges[0][1] == 1
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(dataio, "_parse_rows", None)  # the serial route is not taken
+        got = in_ranges(path)
+        monkeypatch.undo()
+        expected = _exact_route(path)
+        assert len(forks) == 2
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert got.values.shape == expected.values.shape == (30, 4 - (ids is not None))
+        assert got.row_ids == expected.row_ids
+        assert got.column_names == expected.column_names
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(_with_cell_2("x"), "non-numeric value 'x' at row {row}, column 'c2'"),
+         (_with_cell_2("1.5,2.5"), "row {row} has 5 fields, header has 4"),
+         (lambda line: "", "row {row} has 0 fields, header has 4")],
+        ids=["bad-cell", "ragged-row", "blank-line"],
+    )
+    def test_a_fault_in_range_2_raises_the_serial_message(self, tmp_path, in_ranges, edit, message):
+        path = self._ranged_csv(tmp_path, None)
+        (_, first), (_, second), _ = self._ranges(path)
+        row = first + second // 2 + 2  # a file row number: the header is row 1
+        lines = path.read_text().split("\n")
+        lines[row - 1] = edit(lines[row - 1])
+        path.write_text("\n".join(lines))
+        (_, first), (_, second), _ = self._ranges(path)
+        assert first < row - 1 <= first + second
+        expected = _outcome(path, _exact_route)
+        assert expected == f"{path}: {message.format(row=row)}"
+        with pytest.raises(InputDataError) as raised:
+            in_ranges(path)
+        assert str(raised.value) == expected
+
+    def test_a_killed_child_leaves_the_serial_route(self, tmp_path, monkeypatch, in_ranges):
+        path = self._ranged_csv(tmp_path, "mol")
+        parent, read_range = os.getpid(), dataio._read_range
+
+        def killed_in_a_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read_range(*args)
+
+        monkeypatch.setattr(dataio, "_read_range", killed_in_a_child)
+        assert _outcome(path, in_ranges) == _outcome(path, _exact_route)
+
+    @pytest.mark.parametrize("refused_at", [1, 2])
+    def test_a_refused_fork_leaves_the_serial_route(
+        self, tmp_path, monkeypatch, in_ranges, refused_at
+    ):
+        path = self._ranged_csv(tmp_path, "mol")
+        forks, fork = [], os.fork
+
+        def refused_at_last():
+            forks.append(1)
+            if len(forks) == refused_at:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refused_at_last)
+        assert _outcome(path, in_ranges) == _outcome(path, _exact_route)
+        assert len(forks) == refused_at
 
 
 def _row_dicts(doc: dict) -> dict:

@@ -1,5 +1,5 @@
-"""Every import in ``src/`` and ``tests/`` is used, and every private name in
-``src/`` is read.
+"""Every import in ``src/`` and ``tests/`` is used, every private name in
+``src/`` is read, and importing the package loads no process machinery.
 
 A name bound by an import counts as used when the module reads it anywhere or
 lists it in ``__all__``. ``from __future__`` imports change how the module
@@ -10,6 +10,9 @@ as an attribute or in an import.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -176,23 +179,28 @@ def test_the_check_sees_every_way_to_a_median():
 _EIGEN_ROUTINES = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}
 
 
-def eigendecompositions(source: str) -> list[str]:
-    """``function: routine`` for each eigendecomposition or SVD the module
-    names, as an attribute or in an import; ``<module>`` outside functions."""
+def named(source: str, names) -> list[str]:
+    """``function: name`` for each of ``names`` the module names, as an
+    attribute or in an import; ``<module>`` outside functions."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Attribute) and node.attr in _EIGEN_ROUTINES:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             found.append(f"{where}: {node.attr}")
         elif isinstance(node, ast.ImportFrom):
-            found.extend(f"{where}: {a.name}" for a in node.names if a.name in _EIGEN_ROUTINES)
+            found.extend(f"{where}: {a.name}" for a in node.names if a.name in names)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def eigendecompositions(source: str) -> list[str]:
+    """Each eigendecomposition or SVD the module names (see ``named``)."""
+    return named(source, _EIGEN_ROUTINES)
 
 
 def test_every_eigendecomposition_in_src_goes_through_sym_eigen():
@@ -216,3 +224,41 @@ def test_the_check_sees_every_eigendecomposition():
         "<module>: eigh", "<module>: svd", "sym_eigen: eigh",
         "other: eigvalsh", "other: eig", "other: eigvals", "other: svd",
     ]
+
+
+def forks(source: str) -> list[str]:
+    """Each ``os.fork`` the module names (see ``named``)."""
+    return named(source, {"fork"})
+
+
+def test_only_the_csv_reader_forks():
+    found = {str(p.relative_to(ROOT)): forks(p.read_text(encoding="utf-8")) for p in SRC}
+    assert {path: names for path, names in found.items() if names} == {
+        "src/pcout/dataio.py": ["_fork_range: fork"],
+    }
+
+
+def test_the_check_sees_every_fork():
+    source = (
+        "import os\n"
+        "from os import fork\n"
+        "def spawn():\n"
+        "    return os.fork()\n"
+        "os.forkpty(); os.getpid()\n"
+    )
+    assert forks(source) == ["<module>: fork", "spawn: fork"]
+
+
+# Loaded only on load_csv's parallel route, if at all: the benchmark's setup_s
+# times a fresh ``import pcout, pcout.cli``.
+_NOT_AT_IMPORT = ("mmap", "multiprocessing", "concurrent.futures", "subprocess")
+
+
+def test_importing_the_package_loads_no_process_or_shared_memory_module():
+    code = "import sys, pcout, pcout.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *_NOT_AT_IMPORT],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout == "[]\n"

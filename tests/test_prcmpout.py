@@ -10,6 +10,7 @@ from pcout.baselines import ogk_detect, sign2_detect
 from pcout.chisq import chi2_quantile
 from pcout.prcmpout import (
     DetectorConfig,
+    _row_norms,
     combine_weights,
     detect,
     stage1_location,
@@ -321,6 +322,33 @@ class TestDetect:
         assert mapped.w2 == pytest.approx(base.w2, abs=1e-8)
         assert mapped.w_final == pytest.approx(base.w_final, abs=1e-8)
         assert np.array_equal(mapped.flags, base.flags)
+
+    # Sphered values past about 1e154 overflowed the covariance product, and
+    # past about 1e77 their squares in the stage norms; pytest turns any
+    # RuntimeWarning into an error
+    @pytest.mark.parametrize("gross", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("shape", [(60, 5), (20, 50)], ids=["covariance", "gram"])
+    def test_one_gross_finite_row_is_flagged_as_an_ordinary_gross_row_is(self, shape, gross):
+        X = np.random.Generator(np.random.Philox(30)).standard_normal(shape)
+        X[7] = 1e10
+        ordinary = detect(X)
+        X[7] = gross
+        report = detect(X)
+        assert report.flags[7]
+        assert np.array_equal(report.flags, ordinary.flags)
+        assert report.p_star == ordinary.p_star
+        assert np.isfinite(report.stage1_distances.transformed).all()
+        assert np.isfinite(report.stage2_distances.transformed).all()
+
+    def test_row_norms_are_the_plain_bits_where_those_are_finite(self):
+        rng = np.random.Generator(np.random.Philox(31))
+        Z = rng.standard_normal((50, 7)) * rng.choice([1e-3, 1.0, 1e3], (50, 1))
+        Z[0] = 0.0
+        rel = rng.uniform(size=7)
+        rel /= rel.sum()
+        assert _row_norms(Z).tobytes() == np.sqrt((Z**2).sum(axis=1)).tobytes()
+        assert _row_norms(Z, rel).tobytes() == np.sqrt((Z * Z) @ rel).tobytes()
+        assert _row_norms(Z * 2.0**900).tobytes() == (_row_norms(Z) * 2.0**900).tobytes()
 
     def test_weights_bounded_and_flags_match_the_cut(self):
         rng = np.random.Generator(np.random.Philox(29))

@@ -193,6 +193,20 @@ class TestPcaBasis:
         gram_total = pca_basis(wide, 0.99).total_variance
         assert gram_total == pytest.approx(np.trace(covariance(wide)), rel=1e-12)
 
+    # 2**508 times N(0, 1) entries at n * p = 300: over the bound past which the
+    # products could overflow, so the scaled route runs, with the variances
+    # still inside the float range
+    @pytest.mark.parametrize("shape", [(12, 25), (60, 5)], ids=["gram", "covariance"])
+    def test_a_scale_whose_products_overflow_scales_only_the_variances(self, shape):
+        X = np.random.Generator(np.random.Philox(53)).standard_normal(shape)
+        basis = pca_basis(X, 0.99)
+        big = pca_basis(X * 2.0**508, 0.99)
+        assert big.n_components == basis.n_components
+        assert big.variance_fraction == pytest.approx(basis.variance_fraction, rel=1e-12)
+        assert big.eigenvalues == pytest.approx(basis.eigenvalues * 4.0**508, rel=1e-12)
+        assert big.total_variance == pytest.approx(basis.total_variance * 4.0**508, rel=1e-12)
+        assert np.abs(big.eigenvectors.T @ basis.eigenvectors).diagonal() == pytest.approx(1.0)
+
     @pytest.mark.parametrize("shape", [(30, 90), (90, 12)], ids=["gram", "covariance"])
     def test_the_input_is_left_as_it_was(self, shape, laid_out):
         rng = np.random.Generator(np.random.Philox(44))
