@@ -36,15 +36,12 @@ EXIT_CONFIG = 4
 
 DEFAULT_ALPHA = 0.05
 
-# method -> run(X, alpha) returning (result, settings echoed in the report
-# header); prcmpout ignores alpha
+# method -> run(X, alpha) returning the detector's result; prcmpout ignores alpha
 _RUNNERS = {
-    "prcmpout": lambda X, alpha: (detect(X), dataclasses.asdict(DetectorConfig())),
-    "classical": lambda X, alpha: (baselines.classical_detect(X, alpha), {"alpha": alpha}),
-    "ogk": lambda X, alpha: (
-        baselines.ogk_detect(X, alpha), {"alpha": alpha, "beta": baselines.OGK_BETA}
-    ),
-    "sign2": lambda X, alpha: (baselines.sign2_detect(X, alpha), {"alpha": alpha}),
+    "prcmpout": lambda X, alpha: detect(X),
+    "classical": baselines.classical_detect,
+    "ogk": baselines.ogk_detect,
+    "sign2": baselines.sign2_detect,
 }
 METHODS = tuple(_RUNNERS)
 
@@ -134,18 +131,25 @@ def _alpha_for(methods, alpha: float | None) -> float:
     return alpha
 
 
+def _settings(method: str, alpha: float) -> dict:
+    """The settings a detect report's header echoes for the method."""
+    if method == "prcmpout":
+        return dataclasses.asdict(DetectorConfig())
+    return {"alpha": alpha, "beta": baselines.OGK_BETA} if method == "ogk" else {"alpha": alpha}
+
+
 def _flag_handle(method: str, alpha: float | None):
     """Detector handle for the simulation harness."""
     run = _RUNNERS[method]
-    return lambda X: run(X, alpha)[0].flags
+    return lambda X: run(X, alpha).flags
 
 
 def _cmd_detect(args) -> int:
     alpha = _alpha_for([args.method], args.alpha)
     start = time.perf_counter()
     dm = load_csv(args.input)
-    result, settings = _RUNNERS[args.method](dm.values, alpha)
-    config_echo = {"input": args.input, "method": args.method, **settings}
+    result = _RUNNERS[args.method](dm.values, alpha)
+    config_echo = {"input": args.input, "method": args.method, **_settings(args.method, alpha)}
     build = weight_report_document if args.method == "prcmpout" else detection_result_document
     doc = build(dm, result, config_echo)
     _write_document(doc, args.format, args.output)

@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from statistics import median as stat_median
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .dataio import Columns
+from .robust import median
 
 DetectorFn = Callable[[np.ndarray], np.ndarray]
 """A detector handle: maps an n x p matrix to a boolean flag vector."""
@@ -211,7 +211,7 @@ def time_detectors(
                 times.append(time.perf_counter() - start)
         except Exception as exc:  # recorded per detector, not fatal
             failures = (str(exc),)
-        rows.append(TimingRow(name, None if failures else stat_median(times), repeats, failures))
+        rows.append(TimingRow(name, None if failures else float(median(times)), repeats, failures))
     return rows
 
 

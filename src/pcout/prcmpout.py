@@ -14,10 +14,12 @@ The pipeline:
      when p > n), retaining components covering 99% of variance, at most n - 1
   3. project, then re-sphere every score column by median/MAD
   4. stage 1: kurtosis-weighted norms -> median-calibrated distances ->
-     biweight with M at the 1/3 distance quantile and c = med + 2.5 MAD
+     biweight with M at the 1/3 distance quantile (type 7) and c = med + 2.5 MAD
   5. stage 2: plain norms -> median-calibrated distances -> biweight with
      M, c at the chi-square 25th/99th percentile scale
   6. combine: w = (w1 + s)(w2 + s) / (1 + s)^2 with s = 0.25
+
+Every median, MAD and quantile is taken by the one select kernel in ``robust``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chisq import chi2_quantile
-from .robust import median, median_mad, robust_sphere
+from .robust import median, median_mad, quantile, robust_sphere
 from .spectral import pca_basis, project
 
 
@@ -141,24 +143,24 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
     light tails alike. The robust distance of a row is
     sqrt(sum_j r_j z_j^2), r the weights normalized to sum 1. The returned
     DistanceSet carries the biweight bounds: M at the full-weight distance
-    quantile, c at median + multiplier * MAD.
+    quantile (type 7, numpy's default), c at median + multiplier * MAD.
     """
     Zs = np.asarray(Zs, dtype=float)
-    p_star = Zs.shape[1]
+    n, p_star = Zs.shape
     with np.errstate(over="ignore"):  # a score past about 1e77 overflows z^4
         Z2 = Zs * Zs
-        kurt = np.abs(np.mean(Z2 * Z2, axis=0) - 3.0)
+        kurt = np.abs(np.add.reduce(Z2 * Z2, axis=0) / n - 3.0)
     infinite = np.isinf(kurt)
+    overflowed = infinite.any()  # if not, no z^2 overflowed either
     # infinite kurtoses share the weight evenly: the limit of kurt / total as they grow
-    weight = infinite if infinite.any() else kurt
-    total = weight.sum()
+    weight = infinite if overflowed else kurt
+    total = np.add.reduce(weight)
     if total > 0.0:
         rel = weight / total
     else:
         rel = np.full(p_star, 1.0 / p_star)  # no kurtosis signal anywhere: weight evenly
-    # with every z^4 finite no z^2 overflowed
-    d = transform_distances(_row_norms(Zs, rel) if infinite.any() else np.sqrt(Z2 @ rel), p_star)
-    m_cut = float(np.quantile(d, cfg.stage1_full_weight_fraction))
+    d = transform_distances(_row_norms(Zs, rel) if overflowed else np.sqrt(Z2 @ rel), p_star)
+    m_cut = float(quantile(d, cfg.stage1_full_weight_fraction))
     med, mad = median_mad(d)
     c_cut = float(med + cfg.stage1_c_mad_multiplier * mad)
     if c_cut > m_cut:
@@ -178,8 +180,8 @@ def stage2_scatter(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarr
     Zs = np.asarray(Zs, dtype=float)
     p_star = Zs.shape[1]
     with np.errstate(over="ignore"):  # a score past about 1e154 overflows z^2
-        d = np.sqrt((Zs**2).sum(axis=1))
-    if math.isinf(d.max()):
+        d = np.sqrt(np.add.reduce(Zs * Zs, axis=1))
+    if math.isinf(np.maximum.reduce(d)):
         d = _row_norms(Zs)
     d = transform_distances(d, p_star)
     m_cut = math.sqrt(chi2_quantile(cfg.stage2_m_quantile, p_star))
@@ -198,41 +200,56 @@ def combine_weights(w1, w2, s: float) -> np.ndarray:
     return (w1 + s) * (w2 + s) / (1.0 + s) ** 2
 
 
+# what fails a step of detect: a degenerate input, or an overflow past the float range
+_STEP_FAILURES = (ValueError, FloatingPointError)
+
+
+def _step_error(step: str, exc: Exception) -> ValueError:
+    """The error detect raises when one of its steps fails, naming the step."""
+    if isinstance(exc, FloatingPointError):
+        return ValueError(f"{step} failed: {exc} (the data come too near the float range)")
+    return ValueError(f"{step} failed: {exc}")
+
+
+# a value pushed past the float range, by data near it, fails its step as an error
+@np.errstate(over="raise")
 def detect(X, cfg: DetectorConfig = DetectorConfig()) -> WeightReport:
     """Run the full two-stage detector on an n x p matrix.
 
     Returns a WeightReport holding per-row stage weights, distances, final
     weights and flags (final weight strictly below cfg.outlier_cut), plus the
-    retained dimension and the dropped zero-MAD columns.
+    retained dimension and the dropped zero-MAD columns. A step that fails,
+    on a degenerate input or by overflowing the float range on data near it,
+    raises a ValueError naming the step.
     """
     X = checked_matrix(X)
     n = X.shape[0]
     try:
         Xs, dropped = robust_sphere(X)
-    except ValueError as exc:
-        raise ValueError(f"sphering failed: {exc}") from exc
+    except _STEP_FAILURES as exc:
+        raise _step_error("sphering", exc) from exc
 
     try:
         basis = pca_basis(Xs, cfg.variance_threshold, max_components=n - 1)
         Z = project(Xs, basis)
-    except ValueError as exc:
-        raise ValueError(f"principal-component step failed: {exc}") from exc
+    except _STEP_FAILURES as exc:
+        raise _step_error("principal-component step", exc) from exc
     del Xs, basis  # each n x p-sized buffer goes once it is consumed
 
     try:
         Zs, _ = robust_sphere(Z)  # a zero-MAD score column is dropped here too
-    except ValueError as exc:
-        raise ValueError(f"score sphering failed: {exc}") from exc
+    except _STEP_FAILURES as exc:
+        raise _step_error("score sphering", exc) from exc
     del Z
 
     try:
         w1, d1, kurt = stage1_location(Zs, cfg)
-    except ValueError as exc:
-        raise ValueError(f"stage 1 (location) failed: {exc}") from exc
+    except _STEP_FAILURES as exc:
+        raise _step_error("stage 1 (location)", exc) from exc
     try:
         w2, d2 = stage2_scatter(Zs, cfg)
-    except ValueError as exc:
-        raise ValueError(f"stage 2 (scatter) failed: {exc}") from exc
+    except _STEP_FAILURES as exc:
+        raise _step_error("stage 2 (scatter)", exc) from exc
 
     w_final = combine_weights(w1, w2, cfg.scale_const_s)
     flags = w_final < cfg.outlier_cut

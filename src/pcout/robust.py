@@ -1,10 +1,10 @@
-"""Order-statistics primitives: median/MAD, the spatial (L1) median and
-robust column sphering.
+"""Order-statistics primitives: median/MAD, the type-7 quantile, the spatial
+(L1) median and robust column sphering.
 
-Every median in the package is taken here, by one single-kth select.
-Everything here is a pure function of its inputs. Scale estimation uses the
-median absolute deviation multiplied by 1.4826, which makes it consistent for
-the standard deviation at the normal distribution.
+Every median and quantile in the package is taken here, by one single-kth
+select. Everything here is a pure function of its inputs. Scale estimation
+uses the median absolute deviation multiplied by 1.4826, which makes it
+consistent for the standard deviation at the normal distribution.
 """
 
 from __future__ import annotations
@@ -19,31 +19,67 @@ _L1_MAX_ITER = 500
 
 
 def _lanes(X, axis):
-    """A C-ordered float copy of X with its lanes, the runs each median is taken
+    """A C-ordered float copy of X with its lanes, the runs each statistic is taken
     over, on the last axis: all of X for axis=None, else X's 1-D slices along axis."""
-    A = np.array(X if axis is None else np.moveaxis(X, axis, -1), dtype=float, order="C")
-    return A.ravel() if axis is None else A
+    if axis is None:
+        return np.array(X, dtype=float, order="C").ravel()
+    X = np.asarray(X)
+    lanes = X.T if axis == 0 and X.ndim <= 2 else np.moveaxis(X, axis, -1)
+    return np.array(lanes, dtype=float, order="C")
 
 
-def _lane_median(A):
-    """np.median of each lane (last axis) of A, a C-ordered float array the caller
-    owns, partitioned in place at one kth: numpy selects one kth with SIMD, and
-    np.median's three with introselect. -0.0 reads 0.0 and a NaN lane gives NaN."""
+def _middle(A):
+    """np.median of each lane (last axis) of A that holds no NaN. A is a C-ordered
+    float array the caller owns, partitioned in place at one kth: numpy selects one
+    kth with SIMD, and np.median's three with introselect. -0.0 reads 0.0."""
     h = A.shape[-1] // 2
     A.partition(h, axis=-1)
     med = A[..., h] + 0.0
     if A.shape[-1] % 2 == 0:
-        med += A[..., :h].max(axis=-1)
+        med += np.maximum.reduce(A[..., :h], axis=-1)
         med /= 2.0
-    return np.where(np.isnan(A[..., h:].max(axis=-1)), np.nan, med)[()]
+    return med
+
+
+def _nan_for_nan_lanes(value, A, k):
+    """value, with NaN for each lane of A that holds a NaN. A is partitioned at k,
+    which sorts NaN last, so a lane's NaN is in A[..., k:]."""
+    return np.where(np.isnan(np.maximum.reduce(A[..., k:], axis=-1)), np.nan, value)[()]
+
+
+def _lane_median(A):
+    """np.median of each lane of A, as _middle takes it, NaN for a lane holding one."""
+    return _nan_for_nan_lanes(_middle(A), A, A.shape[-1] // 2)
 
 
 def _lane_median_mad(A):
-    """Median and scaled MAD of each lane of A, as _lane_median takes them; overwrites A."""
+    """Median and scaled MAD of each lane of A, as _lane_median takes them; overwrites
+    A. The MAD's select needs no NaN check of its own: a NaN or ±inf median makes at
+    least half the deviations NaN, so the select already returns NaN."""
     med = _lane_median(A)
     A -= med[..., None]
     np.abs(A, out=A)
-    return med, MAD_SCALE * _lane_median(A)
+    return med, MAD_SCALE * _middle(A)
+
+
+def _lane_quantile(A, q):
+    """np.quantile(lane, q), type 7, of each lane of A for q in [0, 1]; overwrites A.
+
+    A is partitioned at the upper of the two order statistics the quantile
+    interpolates between, so the lower one is the largest value left of it; the
+    interpolation is numpy's _lerp arithmetic, with numpy's weight.
+    """
+    n = A.shape[-1]
+    v = (n - 1) * q
+    top = v >= n - 1  # numpy then interpolates from its index -1, the largest value, to itself
+    k = n - 1 if top else int(v) + 1
+    A.partition(k, axis=-1)
+    hi = A[..., k]
+    lo = hi if top else np.maximum.reduce(A[..., :k], axis=-1)
+    t = v + 1.0 if top else v - (k - 1)
+    step = hi - lo
+    value = hi - step * (1.0 - t) if t >= 0.5 else lo + step * t
+    return _nan_for_nan_lanes(value, A, k)
 
 
 def median(X, axis=None):
@@ -56,6 +92,12 @@ def median_mad(X, axis=None):
     X for ``axis=None`` or per column for ``axis=0``. X is left as it is: the
     deviations overwrite the one copy of X laid out as lanes."""
     return _lane_median_mad(_lanes(X, axis))
+
+
+def quantile(X, q, axis=None):
+    """np.quantile(X, q, axis) (type 7, numpy's default) for q in [0, 1] and an int
+    axis or None, taken on a copy of X laid out as lanes."""
+    return _lane_quantile(_lanes(X, axis), q)
 
 
 def l1_median(X) -> np.ndarray:
@@ -119,12 +161,15 @@ def robust_sphere(X) -> tuple[np.ndarray, frozenset[int]]:
         raise ValueError("sphering needs at least 2 rows")
     medians, mads = median_mad(X, axis=0)
     keep = mads > 0.0
-    if not keep.any():
+    dropped = frozenset(np.flatnonzero(~keep).tolist())
+    if len(dropped) == X.shape[1]:
         raise ValueError(
             "all columns have zero MAD; nothing to analyze (a column has zero MAD when at "
             "least half its values are equal, for example duplicated rows)"
         )
-    Xs = X[:, keep]  # a copy, so the arithmetic below stays in it
-    Xs -= medians[keep]
-    Xs /= mads[keep]
-    return Xs, frozenset(int(j) for j in np.flatnonzero(~keep))
+    if dropped:
+        X, medians, mads = X[:, keep], medians[keep], mads[keep]  # X is now an owned copy
+    # one F-ordered copy, the layout of X[:, keep], which the products downstream round by
+    Xs = np.subtract(X, medians, out=X if dropped else None, order="F")
+    Xs /= mads
+    return Xs, dropped

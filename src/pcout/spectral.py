@@ -68,13 +68,14 @@ def sym_eigen(C) -> tuple[np.ndarray, np.ndarray]:
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {C.shape}")
     B = np.subtract(C, C.T)  # one owned buffer: the asymmetry, then the symmetrized C
-    if float(np.abs(B, out=B).max()) > _SYMMETRY_TOL * max(1.0, float(C.max()), -float(C.min())):
+    scale = max(1.0, float(np.maximum.reduce(C, None)), -float(np.minimum.reduce(C, None)))
+    if float(np.maximum.reduce(np.abs(B, out=B), None)) > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     np.add(C, C.T, out=B)
     B /= 2.0
     w, V = np.linalg.eigh(B)
     del B
-    order = np.argsort(w)[::-1]
+    order = w.argsort()[::-1]
     return w[order], V[:, order]
 
 
@@ -87,11 +88,11 @@ def retain_components(eigenvalues, threshold: float, max_components: int | None 
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"variance threshold must be in (0, 1], got {threshold}")
     ev = np.asarray(eigenvalues, dtype=float)
-    if ev.size == 0 or not ev.sum() > 0.0:
+    if ev.size == 0 or not np.add.reduce(ev) > 0.0:
         raise ValueError("all-zero spectrum; nothing to retain")
-    frac = np.cumsum(ev)
+    frac = np.add.accumulate(ev)
     frac /= frac[-1]
-    k = int(np.argmax(frac >= threshold - 1e-12)) + 1
+    k = int((frac >= threshold - 1e-12).argmax()) + 1
     if max_components is not None:
         k = min(k, max_components)
     return max(k, 1)
@@ -120,29 +121,30 @@ def pca_basis(Xs, variance_threshold: float = 0.99, max_components: int | None =
     if Xs.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {Xs.shape}")
     n, p = Xs.shape
-    Xc = Xs - Xs.mean(axis=0)
+    Xc = Xs - np.add.reduce(Xs, axis=0) / n
     # M's trace sums n * p squares: past the float range, decompose M / 4**e,
     # Xc scaled by the exact power of two 2**-e that puts its largest |entry| in [0.5, 1)
-    big = max(float(Xc.max(initial=0.0)), -float(Xc.min(initial=0.0)))  # no |Xc| copy
+    top, bottom = np.maximum.reduce(Xc, None, initial=0.0), np.minimum.reduce(Xc, None, initial=0.0)
+    big = max(float(top), -float(bottom))  # no |Xc| copy
     e = int(np.frexp(big)[1]) if big > math.sqrt(sys.float_info.max / (n * p)) else 0
     if e:
         np.ldexp(Xc, -e, out=Xc)
     M = (Xc @ Xc.T if p > n else Xc.T @ Xc) / (n - 1)
-    total = float(np.trace(M))
+    total = float(M.trace())
     if total <= 0.0:
         raise ValueError("zero total variance; nothing to decompose")
     w, V = sym_eigen(M)
-    w = np.clip(w, 0.0, None)  # roundoff negatives, the matrix is a covariance or its Gram twin
+    w = np.maximum(w, 0.0)  # roundoff negatives, the matrix is a covariance or its Gram twin
     if p > n:
         # Gram route: the nonzero eigenpairs, mapped back to p-space and renormalized in place
         nonzero = w > _RANK_TOL * max(float(w[0]), 1.0)
         w = w[nonzero]
         V = Xc.T @ V[:, nonzero]
         del Xc, M
-        V /= np.sqrt((V**2).sum(axis=0))
+        V /= np.sqrt(np.add.reduce(V * V, axis=0))
     cap = n - 1 if max_components is None else min(n - 1, max_components)
     k = retain_components(w, variance_threshold, max_components=cap)
-    fraction = min(float(w[:k].sum()) / total, 1.0)
+    fraction = min(float(np.add.reduce(w[:k])) / total, 1.0)
     eigenvalues = w[:k].copy()
     if e:  # back to the units of Xs, where a variance past the float range reads inf
         with np.errstate(over="ignore"):

@@ -763,6 +763,15 @@ class TestDetectCommand:
         assert "sphering failed: all columns have zero MAD; nothing to analyze" in err
         assert "at least half its values are equal, for example duplicated rows" in err
 
+    def test_rows_at_the_float_maximum_exit_3(self, tmp_path, capsys):
+        X = np.random.Generator(np.random.Philox(30)).standard_normal((60, 5))
+        X[[7, 11]] = 1e308
+        path = tmp_path / "huge.csv"
+        _write_csv(path, [f"c{j}" for j in range(5)], X.tolist())
+        assert main(["detect", "--input", str(path), "--method", "prcmpout"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "principal-component step failed: overflow encountered in reduce" in err
+
     def test_alpha_out_of_range_is_a_config_error(self, normal_csv, capsys):
         for alpha in ("1.5", "1e-17"):  # 1 - 1e-17 rounds to 1
             code = main(

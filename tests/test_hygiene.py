@@ -135,20 +135,26 @@ def test_the_check_sees_an_unread_private_name():
     ]
 
 
-# numpy's order statistics; only robust.py selects, and stage 1's one np.quantile stays
+# numpy's and the statistics module's order statistics, by the module's name;
+# only robust.py selects
 _NUMPY_SELECTS = {"median", "nanmedian", "percentile", "nanpercentile", "quantile", "nanquantile"}
+_SELECTS = {
+    "np": _NUMPY_SELECTS,
+    "numpy": _NUMPY_SELECTS,
+    "statistics": {"median", "median_low", "median_high", "median_grouped", "quantiles"},
+}
 
 
 def order_statistics(source: str) -> list[str]:
-    """Each numpy order statistic the module names, and each ``.partition``."""
+    """Each numpy or ``statistics`` order statistic the module names, and each ``.partition``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute):
-            on_numpy = getattr(node.value, "id", None) in {"np", "numpy"}
-            if node.attr in {"partition", "argpartition"} or on_numpy and node.attr in _NUMPY_SELECTS:
+            selects = _SELECTS.get(getattr(node.value, "id", None), set())
+            if node.attr in {"partition", "argpartition"} or node.attr in selects:
                 found.append(node.attr)
-        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
-            found.extend(a.name for a in node.names if a.name in _NUMPY_SELECTS | {"partition"})
+        elif isinstance(node, ast.ImportFrom) and node.module in _SELECTS:
+            found.extend(a.name for a in node.names if a.name in _SELECTS[node.module] | {"partition"})
     return found
 
 
@@ -158,20 +164,21 @@ def test_every_median_in_src_goes_through_robust():
         for p in SRC
         if p.name != "robust.py"
     }
-    assert {path: names for path, names in found.items() if names} == {
-        "src/pcout/prcmpout.py": ["quantile"],
-    }
+    assert {path: names for path, names in found.items() if names} == {}
 
 
 def test_the_check_sees_every_way_to_a_median():
     source = (
         "import numpy as np\n"
         "from numpy import percentile\n"
+        "from statistics import median as stat_median, mean\n"
         "np.median(x); numpy.nanmedian(x); x.partition(3); np.quantile(x, 0.5)\n"
+        "statistics.median(x); statistics.quantiles(x); statistics.mean(x)\n"
         "robust.median(x); np.mean(x)\n"
     )
     assert sorted(order_statistics(source)) == [
-        "median", "nanmedian", "partition", "percentile", "quantile",
+        "median", "median", "median", "nanmedian",
+        "partition", "percentile", "quantile", "quantiles",
     ]
 
 
@@ -250,8 +257,9 @@ def test_the_check_sees_every_fork():
 
 
 # Loaded only on load_csv's parallel route, if at all: the benchmark's setup_s
-# times a fresh ``import pcout, pcout.cli``.
-_NOT_AT_IMPORT = ("mmap", "multiprocessing", "concurrent.futures", "subprocess")
+# times a fresh ``import pcout, pcout.cli``. ``statistics`` (which loads
+# ``fractions`` and ``decimal``) would be a second median besides robust's.
+_NOT_AT_IMPORT = ("mmap", "multiprocessing", "concurrent.futures", "subprocess", "statistics")
 
 
 def test_importing_the_package_loads_no_process_or_shared_memory_module():

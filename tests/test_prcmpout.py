@@ -326,7 +326,7 @@ class TestDetect:
     # Sphered values past about 1e154 overflowed the covariance product, and
     # past about 1e77 their squares in the stage norms; pytest turns any
     # RuntimeWarning into an error
-    @pytest.mark.parametrize("gross", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("gross", [1e155, 1e200, 1e300, 1e305])
     @pytest.mark.parametrize("shape", [(60, 5), (20, 50)], ids=["covariance", "gram"])
     def test_one_gross_finite_row_is_flagged_as_an_ordinary_gross_row_is(self, shape, gross):
         X = np.random.Generator(np.random.Philox(30)).standard_normal(shape)
@@ -339,6 +339,24 @@ class TestDetect:
         assert report.p_star == ordinary.p_star
         assert np.isfinite(report.stage1_distances.transformed).all()
         assert np.isfinite(report.stage2_distances.transformed).all()
+
+    # At 1e308 the sphered rows, their sum or their scores pass the float
+    # maximum: detect fails the step that overflows, by name, where a NumPy
+    # overflow warning came out
+    @pytest.mark.parametrize(
+        "shape, rows, step, op",
+        [
+            ((60, 5), [7], "principal-component step", "matmul"),
+            ((60, 5), [7, 11], "principal-component step", "reduce"),
+            ((20, 50), [7], "sphering", "divide"),
+        ],
+        ids=["one-row", "two-rows", "gram"],
+    )
+    def test_rows_at_the_float_maximum_fail_their_step_by_name(self, shape, rows, step, op):
+        X = np.random.Generator(np.random.Philox(30)).standard_normal(shape)
+        X[rows] = 1e308
+        with pytest.raises(ValueError, match=f"^{step} failed: overflow encountered in {op} [(]the data"):
+            detect(X)
 
     def test_row_norms_are_the_plain_bits_where_those_are_finite(self):
         rng = np.random.Generator(np.random.Philox(31))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pcout.robust import MAD_SCALE, l1_median, median, median_mad, robust_sphere
+from pcout.robust import MAD_SCALE, l1_median, median, median_mad, quantile, robust_sphere
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 samples = st.lists(finite_floats, min_size=1, max_size=40)
@@ -93,10 +93,65 @@ class TestSingleSelectKernel:
     def test_negative_zero_median_reads_zero_as_np_median_does(self):
         self._same(median(np.array([-0.0, -0.0, 1.0])), 0.0)
 
-    @pytest.mark.parametrize("axis", [1, -1, 2])
+    @pytest.mark.parametrize("axis", [0, 1, -1, 2])
     def test_any_axis_of_a_3d_array(self, axis):
         X = np.random.Generator(np.random.Philox(40)).standard_normal((4, 5, 6))
         self._same(median(X, axis=axis), np.median(X, axis=axis))
+
+
+@st.composite
+def _quantile_samples(draw):
+    """An n x p matrix, n in 3..300 or 10000, of values on a grid (so with ties)
+    at a scale from 1e-3 to 1e5; some draws add signed zeros and infinities, and
+    some put a NaN into one column."""
+    n = draw(st.one_of(st.integers(3, 300), st.just(10000)))
+    p = draw(st.integers(1, 3))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    X = np.round(rng.standard_normal((n, p)) * 4.0) * (draw(st.floats(1e-3, 1e5)) / 4.0)
+    if draw(st.booleans()):
+        cells = rng.integers(0, n * p, size=max(1, n * p // 10))
+        X.flat[cells] = rng.choice([0.0, -0.0, np.inf, -np.inf], size=cells.size)
+    if draw(st.booleans()):
+        X[rng.integers(n), rng.integers(p)] = np.nan
+    return X
+
+
+class TestQuantile:
+    """robust.quantile gives np.quantile's bytes: type 7, the one stage 1 takes.
+
+    Bar one thing: the sign of a zero. Where the two order statistics a
+    quantile interpolates between are zeros of both signs, which zero a select
+    puts at each place follows the input's order, so np.quantile itself returns
+    0.0 for one order of a lane and -0.0 for another (at weights of 1/2 and
+    over). So the bytes are compared after adding 0.0, which maps -0.0 to 0.0
+    and leaves every other value as it is. Stage 1's distances hold no -0.0.
+    """
+
+    @staticmethod
+    def _same(got, want):
+        assert np.shape(got) == np.shape(want)
+        assert (np.asarray(got) + 0.0).tobytes() == (np.asarray(want) + 0.0).tobytes()
+
+    @settings(max_examples=120)
+    @given(_quantile_samples(), st.one_of(st.sampled_from([0.0, 1.0 / 3.0, 0.5, 1.0]), st.floats(0, 1)))
+    def test_matches_np_quantile_bit_for_bit(self, X, q):
+        before = X.tobytes()
+        for values, axis in ((X, 0), (X, None), (X[:, 0], None)):
+            with np.errstate(invalid="ignore"):  # inf - inf, in both computations
+                self._same(quantile(values, q, axis=axis), np.quantile(values, q, axis=axis))
+        assert X.tobytes() == before
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_smallest_samples_at_every_weight(self, n):
+        # all -0.0: every order statistic is -0.0, so numpy's sign of the result is fixed
+        for x in (np.arange(n, 0, -1.0) ** 2, np.full(n, -0.0)):
+            for q in (0.0, 0.1, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.9, 1.0):
+                assert quantile(x, q).tobytes() == np.quantile(x, q).tobytes()
+
+    def test_a_nan_poisons_its_own_lane_only(self):
+        X = np.array([[1.0, 2.0], [np.nan, 3.0], [5.0, 4.0]])
+        got = quantile(X, 1.0 / 3.0, axis=0)
+        assert np.isnan(got[0]) and got[1] == np.quantile(X[:, 1], 1.0 / 3.0)
 
 
 class TestMad:
