@@ -7,7 +7,8 @@ norms of the robustly sphered eigenvector scores instead.
 All three turn distances into flags the same way (``_chi2_cut``): flagged
 beyond sqrt(chi2(df, 1 - alpha)). OGK and sign2 first median-calibrate their
 distances with ``prcmpout.transform_distances``, the rule PrCmpOut applies, and
-OGK's wide branch spheres its scores with ``robust.robust_sphere``.
+OGK's wide branch spheres its scores with ``robust.robust_sphere``; its
+distances, and sign2's signs and distances, come from ``robust``'s row norms.
 
 OGK's p(p - 1)/2 pairwise scales are taken block by block: each block writes
 the sums and differences of consecutive pairs of columns into one buffer and
@@ -23,7 +24,7 @@ import numpy as np
 
 from .chisq import chi2_quantile
 from .prcmpout import checked_matrix, transform_distances
-from .robust import _lane_median_mad, median, median_mad, robust_sphere
+from .robust import _lane_median_mad, _scaled_row_norms, median, median_mad, robust_sphere, row_norms
 from .spectral import covariance, pca_basis, project, sym_eigen
 
 _SINGULAR_RTOL = 1e-12
@@ -216,27 +217,18 @@ def ogk_detect(X, alpha: float) -> DetectionResult:
     if n > p:
         dist = robust_distances(X, ogk_reweight(X, ogk_estimate(X)))
     else:
-        Zs, _ = robust_sphere(_ogk_scores(X)[2])
-        dist = np.sqrt((Zs**2).sum(axis=1))
+        dist = row_norms(robust_sphere(_ogk_scores(X)[2])[0])
     return _chi2_cut(transform_distances(dist, p), p, alpha, "ogk")
 
 
 def _unit_rows(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spatial signs of the rows of D: each nonzero row scaled to unit norm,
     however far out it sits, and each zero row (a row at the center) left
-    zero; plus the mask of nonzero rows.
-
-    Before squaring, every row is multiplied by the power of two that puts
-    its largest |entry| in [0.5, 1). That cannot overflow, and because the
-    scaling is exact the signs are bit-identical to the plain computation
-    wherever that one stays finite.
-    """
-    _, exponent = np.frexp(np.abs(D).max(axis=1))
-    Dn = np.ldexp(D, -exponent[:, None])
-    norms = np.sqrt((Dn**2).sum(axis=1))
+    zero; plus the mask of nonzero rows."""
+    norms = _scaled_row_norms(D)
     off = norms > 0.0
     S = np.zeros_like(D)
-    S[off] = Dn[off] / norms[off, None]
+    S[off] = D[off] / norms[off, None]
     return S, off
 
 
@@ -269,5 +261,5 @@ def sign2_detect(X, alpha: float) -> DetectionResult:
         raise ValueError("all projected score columns have zero MAD")
     Zs = Z[:, keep] / sc[keep]
     p_star = Zs.shape[1]
-    dist = transform_distances(np.sqrt((Zs**2).sum(axis=1)), p_star)
+    dist = transform_distances(row_norms(Zs), p_star)
     return _chi2_cut(dist, p_star, alpha, "sign2")

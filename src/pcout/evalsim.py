@@ -108,12 +108,8 @@ def confusion(truth, flags) -> ConfusionCounts:
     flags = np.asarray(flags, dtype=bool)
     if truth.shape != flags.shape:
         raise ValueError(f"label vectors differ in length: {truth.shape} vs {flags.shape}")
-    return ConfusionCounts(
-        a=int(np.sum(truth & flags)),
-        b=int(np.sum(truth & ~flags)),
-        c=int(np.sum(~truth & flags)),
-        d=int(np.sum(~truth & ~flags)),
-    )
+    a, outliers, flagged = (int(np.count_nonzero(v)) for v in (truth & flags, truth, flags))
+    return ConfusionCounts(a=a, b=outliers - a, c=flagged - a, d=truth.size - outliers - flagged + a)
 
 
 @dataclass(frozen=True)
@@ -148,11 +144,9 @@ def dimension_sweep(
         raise ValueError(f"replications must be positive, got {replications}")
     rows = []
     for p in p_values:
-        spec_p = replace(base_spec, p=int(p))
         fns, fps, failures = [], [], []
         for r in range(replications):
-            spec_r = replace(spec_p, seed=base_spec.seed + r)
-            X, truth = generate_contaminated(spec_r)
+            X, truth = generate_contaminated(replace(base_spec, p=int(p), seed=base_spec.seed + r))
             try:
                 flags = detector(X)
             except Exception as exc:  # recorded per cell, not fatal

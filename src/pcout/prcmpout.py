@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chisq import chi2_quantile
-from .robust import median, median_mad, quantile, robust_sphere
+from .robust import _scaled_row_norms, median, median_mad, quantile, robust_sphere, row_norms
 from .spectral import pca_basis, project
 
 
@@ -117,23 +117,6 @@ def translated_biweight(d, M: float, c: float):
     return (1.0 - np.clip((d - M) / (c - M), 0.0, 1.0) ** 2) ** 2
 
 
-def _row_norms(Z, weights=None) -> np.ndarray:
-    """sqrt(sum_j weights_j z_j^2) for each row of Z, all weights 1 by
-    default, where the plain computation overflows: the stages take it
-    when theirs did.
-
-    A row whose largest |entry| is 1 or more is first multiplied by the
-    power of two that puts that entry in [0.5, 1), and its norm by the
-    inverse after the square root, so no square overflows; no row is scaled
-    up. The scaling is exact, so the norms are the plain computation's
-    wherever that one stays finite.
-    """
-    exponent = np.maximum(np.frexp(np.maximum(Z.max(axis=1), -Z.min(axis=1)))[1], 0)
-    Zn = np.ldexp(Z, -exponent[:, None])
-    Zn *= Zn
-    return np.ldexp(np.sqrt(Zn.sum(axis=1) if weights is None else Zn @ weights), exponent)
-
-
 def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarray, DistanceSet, np.ndarray]:
     """Location-outlier weights from kurtosis-weighted norms of sphered scores.
 
@@ -159,7 +142,7 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
         rel = weight / total
     else:
         rel = np.full(p_star, 1.0 / p_star)  # no kurtosis signal anywhere: weight evenly
-    d = transform_distances(_row_norms(Zs, rel) if overflowed else np.sqrt(Z2 @ rel), p_star)
+    d = transform_distances(_scaled_row_norms(Zs, rel) if overflowed else np.sqrt(Z2 @ rel), p_star)
     m_cut = float(quantile(d, cfg.stage1_full_weight_fraction))
     med, mad = median_mad(d)
     c_cut = float(med + cfg.stage1_c_mad_multiplier * mad)
@@ -179,11 +162,7 @@ def stage2_scatter(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarr
     """
     Zs = np.asarray(Zs, dtype=float)
     p_star = Zs.shape[1]
-    with np.errstate(over="ignore"):  # a score past about 1e154 overflows z^2
-        d = np.sqrt(np.add.reduce(Zs * Zs, axis=1))
-    if math.isinf(np.maximum.reduce(d)):
-        d = _row_norms(Zs)
-    d = transform_distances(d, p_star)
+    d = transform_distances(row_norms(Zs), p_star)
     m_cut = math.sqrt(chi2_quantile(cfg.stage2_m_quantile, p_star))
     c_cut = math.sqrt(chi2_quantile(cfg.stage2_c_quantile, p_star))
     return translated_biweight(d, m_cut, c_cut), DistanceSet(d, m_cut, c_cut)
@@ -200,15 +179,22 @@ def combine_weights(w1, w2, s: float) -> np.ndarray:
     return (w1 + s) * (w2 + s) / (1.0 + s) ** 2
 
 
-# what fails a step of detect: a degenerate input, or an overflow past the float range
-_STEP_FAILURES = (ValueError, FloatingPointError)
+class _Step:
+    """``with _Step(name):`` turns a failure of the step inside, on a degenerate
+    input (ValueError) or by overflowing the float range on data near it
+    (FloatingPointError), into the ValueError detect raises, naming the step."""
 
+    def __init__(self, name: str):
+        self.name = name
 
-def _step_error(step: str, exc: Exception) -> ValueError:
-    """The error detect raises when one of its steps fails, naming the step."""
-    if isinstance(exc, FloatingPointError):
-        return ValueError(f"{step} failed: {exc} (the data come too near the float range)")
-    return ValueError(f"{step} failed: {exc}")
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, FloatingPointError):
+            raise ValueError(f"{self.name} failed: {exc} (the data come too near the float range)") from exc
+        if isinstance(exc, ValueError):
+            raise ValueError(f"{self.name} failed: {exc}") from exc
 
 
 # a value pushed past the float range, by data near it, fails its step as an error
@@ -224,32 +210,19 @@ def detect(X, cfg: DetectorConfig = DetectorConfig()) -> WeightReport:
     """
     X = checked_matrix(X)
     n = X.shape[0]
-    try:
+    with _Step("sphering"):
         Xs, dropped = robust_sphere(X)
-    except _STEP_FAILURES as exc:
-        raise _step_error("sphering", exc) from exc
-
-    try:
+    with _Step("principal-component step"):
         basis = pca_basis(Xs, cfg.variance_threshold, max_components=n - 1)
         Z = project(Xs, basis)
-    except _STEP_FAILURES as exc:
-        raise _step_error("principal-component step", exc) from exc
     del Xs, basis  # each n x p-sized buffer goes once it is consumed
-
-    try:
+    with _Step("score sphering"):
         Zs, _ = robust_sphere(Z)  # a zero-MAD score column is dropped here too
-    except _STEP_FAILURES as exc:
-        raise _step_error("score sphering", exc) from exc
     del Z
-
-    try:
+    with _Step("stage 1 (location)"):
         w1, d1, kurt = stage1_location(Zs, cfg)
-    except _STEP_FAILURES as exc:
-        raise _step_error("stage 1 (location)", exc) from exc
-    try:
+    with _Step("stage 2 (scatter)"):
         w2, d2 = stage2_scatter(Zs, cfg)
-    except _STEP_FAILURES as exc:
-        raise _step_error("stage 2 (scatter)", exc) from exc
 
     w_final = combine_weights(w1, w2, cfg.scale_const_s)
     flags = w_final < cfg.outlier_cut

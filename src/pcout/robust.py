@@ -1,13 +1,17 @@
 """Order-statistics primitives: median/MAD, the type-7 quantile, the spatial
-(L1) median and robust column sphering.
+(L1) median, robust column sphering and the row norms every detector scores by.
 
 Every median and quantile in the package is taken here, by one single-kth
-select. Everything here is a pure function of its inputs. Scale estimation
-uses the median absolute deviation multiplied by 1.4826, which makes it
-consistent for the standard deviation at the normal distribution.
+select, and every Euclidean row norm by ``row_norms``, which stays finite for a
+row whose norm does, however near the float range its entries sit. Everything
+here is a pure function of its inputs. Scale estimation uses the median
+absolute deviation multiplied by 1.4826, which makes it consistent for the
+standard deviation at the normal distribution.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -100,6 +104,28 @@ def quantile(X, q, axis=None):
     return _lane_quantile(_lanes(X, axis), q)
 
 
+def _scaled_row_norms(Z, weights=None) -> np.ndarray:
+    """sqrt(sum_j weights_j z_j^2) for each row of Z, all weights 1 by default.
+
+    Each row is first multiplied by the power of two that puts its largest
+    |entry| in [0.5, 1), and its norm by the inverse after the square root, so
+    no square overflows or underflows. The scaling is exact: the norms are the
+    plain computation's wherever that one neither overflows nor underflows.
+    """
+    _, exponent = np.frexp(np.abs(Z).max(axis=1))
+    Zn = np.ldexp(Z, -exponent[:, None])
+    Zn *= Zn
+    return np.ldexp(np.sqrt(np.add.reduce(Zn, axis=1) if weights is None else Zn @ weights), exponent)
+
+
+def row_norms(Z) -> np.ndarray:
+    """The Euclidean norm of each row of Z: the plain computation's bits, or,
+    where a square or a sum overflowed, ``_scaled_row_norms``'s."""
+    with np.errstate(over="ignore"):  # an entry past about 1e154 overflows its square
+        d = np.sqrt(np.add.reduce(Z * Z, axis=1))
+    return _scaled_row_norms(Z) if math.isinf(np.maximum.reduce(d)) else d
+
+
 def l1_median(X) -> np.ndarray:
     """Spatial median: the point minimizing the sum of Euclidean distances.
 
@@ -122,7 +148,7 @@ def l1_median(X) -> np.ndarray:
     y = median(X, axis=0)
     for _ in range(_L1_MAX_ITER):
         diff = X - y
-        dist = np.sqrt((diff**2).sum(axis=1))
+        dist = row_norms(diff)
         coincident = dist < 1e-300
         eta = int(coincident.sum())
         inv = np.zeros(n)

@@ -386,6 +386,27 @@ class TestOgkDetect:
         assert result.flags[8:].mean() < 0.2
 
 
+# Squares of distances past about 1e154 overflowed in sign2 and OGK's wide
+# branch, which turned the gross row's distance into inf; pytest turns any
+# RuntimeWarning into an error
+@pytest.mark.parametrize("gross", [1e155, 1e200, 1e300, 1e305])
+@pytest.mark.parametrize(
+    "method, shape",
+    [("sign2", (60, 5)), ("sign2", (20, 50)), ("ogk", (20, 50))],
+    ids=["sign2-60x5", "sign2-20x50", "ogk-wide-20x50"],
+)
+def test_one_gross_finite_row_gets_the_flags_of_an_ordinary_gross_row(method, shape, gross):
+    run = {"sign2": sign2_detect, "ogk": ogk_detect}[method]
+    X = np.random.Generator(np.random.Philox(30)).standard_normal(shape)
+    X[7] = 1e10
+    ordinary = run(X, 0.05)
+    X[7] = gross
+    result = run(X, 0.05)
+    assert result.flags[7]
+    assert np.array_equal(result.flags, ordinary.flags)
+    assert np.isfinite(result.distances).all()
+
+
 def _leaves(result):
     """The bytes of every array in a result and the repr of every other field."""
     if dataclasses.is_dataclass(result):

@@ -772,6 +772,18 @@ class TestDetectCommand:
         err = capsys.readouterr().err
         assert "principal-component step failed: overflow encountered in reduce" in err
 
+    def test_a_gross_finite_row_gets_a_finite_sign2_report(self, tmp_path, capsys):
+        def refuse(constant):
+            raise ValueError(f"{constant} in the report")
+
+        X = np.random.Generator(np.random.Philox(30)).standard_normal((60, 5))
+        X[7] = 1e200
+        path = tmp_path / "gross.csv"
+        _write_csv(path, [f"c{j}" for j in range(5)], X.tolist())
+        assert main(["detect", "--input", str(path), "--method", "sign2"]) == EXIT_OK
+        records = json.loads(capsys.readouterr().out, parse_constant=refuse)["records"]
+        assert "8" in [r["row_id"] for r in records if r["flag"]]
+
     def test_alpha_out_of_range_is_a_config_error(self, normal_csv, capsys):
         for alpha in ("1.5", "1e-17"):  # 1 - 1e-17 rounds to 1
             code = main(

@@ -256,6 +256,35 @@ def test_the_check_sees_every_fork():
     assert forks(source) == ["<module>: fork", "spawn: fork"]
 
 
+def power_of_two_scalings(source: str) -> list[str]:
+    """Each ``frexp`` or ``ldexp`` the module names (see ``named``)."""
+    return named(source, {"frexp", "ldexp"})
+
+
+# robust._scaled_row_norms decides how every row norm stays in the float range;
+# pca_basis scales the whole centered matrix once, before its product
+def test_only_the_row_norms_and_pca_basis_scale_by_a_power_of_two():
+    found = {str(p.relative_to(ROOT)): power_of_two_scalings(p.read_text(encoding="utf-8")) for p in SRC}
+    assert {path: sorted(set(names)) for path, names in found.items() if names} == {
+        "src/pcout/robust.py": ["_scaled_row_norms: frexp", "_scaled_row_norms: ldexp"],
+        "src/pcout/spectral.py": ["pca_basis: frexp", "pca_basis: ldexp"],
+    }
+
+
+def test_the_check_sees_every_power_of_two_scaling():
+    source = (
+        "import numpy as np\n"
+        "from math import frexp\n"
+        "def unit_rows(D):\n"
+        "    e = np.frexp(abs(D).max(axis=1))[1]\n"
+        "    return numpy.ldexp(D, -e[:, None])\n"
+        "math.ldexp(1.0, 3); np.exp2(3); np.log2(x)\n"
+    )
+    assert power_of_two_scalings(source) == [
+        "<module>: frexp", "unit_rows: frexp", "unit_rows: ldexp", "<module>: ldexp",
+    ]
+
+
 # Loaded only on load_csv's parallel route, if at all: the benchmark's setup_s
 # times a fresh ``import pcout, pcout.cli``. ``statistics`` (which loads
 # ``fractions`` and ``decimal``) would be a second median besides robust's.

@@ -10,7 +10,6 @@ from pcout.baselines import ogk_detect, sign2_detect
 from pcout.chisq import chi2_quantile
 from pcout.prcmpout import (
     DetectorConfig,
-    _row_norms,
     combine_weights,
     detect,
     stage1_location,
@@ -357,16 +356,6 @@ class TestDetect:
         X[rows] = 1e308
         with pytest.raises(ValueError, match=f"^{step} failed: overflow encountered in {op} [(]the data"):
             detect(X)
-
-    def test_row_norms_are_the_plain_bits_where_those_are_finite(self):
-        rng = np.random.Generator(np.random.Philox(31))
-        Z = rng.standard_normal((50, 7)) * rng.choice([1e-3, 1.0, 1e3], (50, 1))
-        Z[0] = 0.0
-        rel = rng.uniform(size=7)
-        rel /= rel.sum()
-        assert _row_norms(Z).tobytes() == np.sqrt((Z**2).sum(axis=1)).tobytes()
-        assert _row_norms(Z, rel).tobytes() == np.sqrt((Z * Z) @ rel).tobytes()
-        assert _row_norms(Z * 2.0**900).tobytes() == (_row_norms(Z) * 2.0**900).tobytes()
 
     def test_weights_bounded_and_flags_match_the_cut(self):
         rng = np.random.Generator(np.random.Philox(29))

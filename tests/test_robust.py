@@ -5,7 +5,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pcout.robust import MAD_SCALE, l1_median, median, median_mad, quantile, robust_sphere
+from pcout.baselines import sign2_detect
+from pcout.prcmpout import detect
+from pcout.robust import (
+    MAD_SCALE,
+    _scaled_row_norms,
+    l1_median,
+    median,
+    median_mad,
+    quantile,
+    robust_sphere,
+    row_norms,
+)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 samples = st.lists(finite_floats, min_size=1, max_size=40)
@@ -178,6 +189,49 @@ class TestMad:
         assert median_mad(a * xs + b)[1] == pytest.approx(
             abs(a) * median_mad(xs)[1], rel=1e-9, abs=1e-9
         )
+
+
+class TestRowNorms:
+    def test_row_norms_are_the_plain_bits_where_those_are_finite(self):
+        rng = np.random.Generator(np.random.Philox(31))
+        Z = rng.standard_normal((50, 7)) * rng.choice([1e-3, 1.0, 1e3], (50, 1))
+        Z[0] = 0.0
+        rel = rng.uniform(size=7)
+        rel /= rel.sum()
+        assert _scaled_row_norms(Z).tobytes() == np.sqrt((Z**2).sum(axis=1)).tobytes()
+        assert _scaled_row_norms(Z, rel).tobytes() == np.sqrt((Z * Z) @ rel).tobytes()
+        assert _scaled_row_norms(Z * 2.0**900).tobytes() == (_scaled_row_norms(Z) * 2.0**900).tobytes()
+
+    def test_rows_whose_squares_underflow_are_scaled_up(self):
+        # at 2^-700 every square is below the smallest subnormal
+        rng = np.random.Generator(np.random.Philox(32))
+        Z = rng.standard_normal((50, 7)) * rng.choice([1e-3, 1.0, 1e3], (50, 1))
+        rel = rng.uniform(size=7)
+        rel /= rel.sum()
+        assert _scaled_row_norms(Z * 2.0**-700).tobytes() == (_scaled_row_norms(Z) * 2.0**-700).tobytes()
+        assert (_scaled_row_norms(Z * 2.0**-700, rel).tobytes()
+                == (_scaled_row_norms(Z, rel) * 2.0**-700).tobytes())
+
+    def test_the_plain_bits_or_the_scaled_norms_where_a_square_overflows(self):
+        rng = np.random.Generator(np.random.Philox(33))
+        Z = rng.standard_normal((50, 7))
+        assert row_norms(Z).tobytes() == np.sqrt((Z**2).sum(axis=1)).tobytes()
+        Z[3] = 1e200
+        d = row_norms(Z)
+        assert d.tobytes() == _scaled_row_norms(Z).tobytes()
+        assert d[3] == pytest.approx(math.sqrt(7) * 1e200, rel=1e-15)
+
+    # a uniform scale that puts the rows' squares in the subnormals (1e-160),
+    # below them (1e-200) or past the float maximum (1e160) moves no flag;
+    # sign2's spatial signs need the row scaling in both directions there
+    @pytest.mark.parametrize("seed", range(5))
+    def test_flags_do_not_move_under_a_uniform_scale(self, seed):
+        X = np.random.Generator(np.random.Philox(seed)).standard_normal((100, 20))
+        X[:5] += 4.0
+        for flags in (lambda A: detect(A).flags, lambda A: sign2_detect(A, 0.05).flags):
+            base = flags(X)
+            for scale in (1e-200, 1e-160, 1e160):
+                assert np.array_equal(flags(X * scale), base)
 
 
 def _l1_objective(X, mu):
