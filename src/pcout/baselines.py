@@ -7,8 +7,15 @@ norms of the robustly sphered eigenvector scores instead.
 All three turn distances into flags the same way (``_chi2_cut``): flagged
 beyond sqrt(chi2(df, 1 - alpha)). OGK and sign2 first median-calibrate their
 distances with ``prcmpout.transform_distances``, the rule PrCmpOut applies, and
-OGK's wide branch spheres its scores with ``robust.robust_sphere``; its
-distances, and sign2's signs and distances, come from ``robust``'s row norms.
+OGK's wide branch spheres its scores with ``robust.robust_sphere``. Every
+distance, and sign2's signs, comes from ``robust``'s row norms.
+
+Classical and OGK's n > p distances go through ``robust_distances``: one
+Cholesky factor L of the scatter, and the row norms of (X - location) L^-T.
+The product trace(C) ||L^-1||_F^2 bounds the condition number from above;
+only when it fails to certify the scatter is the scatter eigendecomposed and
+refused as singular when its smallest eigenvalue is at most _SINGULAR_RTOL
+times its largest.
 
 OGK's p(p - 1)/2 pairwise scales are taken block by block: each block writes
 the sums and differences of consecutive pairs of columns into one buffer and
@@ -28,6 +35,8 @@ from .robust import _lane_median_mad, _scaled_row_norms, median, median_mad, rob
 from .spectral import covariance, pca_basis, project, sym_eigen
 
 _SINGULAR_RTOL = 1e-12
+# trace(C) trace(C^-1) below this certifies C passes the singular test
+_CERTIFIED = 0.1 / _SINGULAR_RTOL
 
 # Hard-rejection level of the OGK reweighting step.
 OGK_BETA = 0.9
@@ -56,16 +65,40 @@ class DetectionResult:
 
 
 def robust_distances(X, est: LocationScatter) -> np.ndarray:
-    """Mahalanobis distances of the rows of X under (location, scatter)."""
+    """Mahalanobis distances of the rows of X under (location, scatter).
+
+    The scatter C is factored once, C = L L' (``np.linalg.cholesky``, which
+    reads its lower triangle), and the distances are the row norms of
+    (X - location) @ L^-T. Since trace(C) ||L^-1||_F^2 = trace(C) trace(C^-1)
+    is at least lambda_max / lambda_min, a product below _CERTIFIED shows that
+    the singular test (smallest eigenvalue at most _SINGULAR_RTOL times the
+    largest) cannot fire, with a factor of ten to spare for rounding, and no
+    eigendecomposition is made. A NaN or infinite product fails that check.
+    Only then, or when the factor or its inverse cannot be formed, is C
+    eigendecomposed and the test applied; a C that passes it without a factor
+    is whitened by its eigenpairs instead. A non-finite C never gets a result.
+    """
     X = np.asarray(X, dtype=float)
-    evals, evecs = sym_eigen(est.scatter)
-    if evals[-1] <= _SINGULAR_RTOL * max(evals[0], 1e-300):
-        raise ValueError(
-            f"scatter matrix is singular: smallest eigenvalue {evals[-1]:.3e} "
-            f"against largest {evals[0]:.3e}"
-        )
-    Y = (X - est.location) @ evecs
-    return np.sqrt((Y**2 / evals).sum(axis=1))
+    C = np.asarray(est.scatter, dtype=float)
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(C))
+    except np.linalg.LinAlgError:
+        Linv = None
+    else:
+        with np.errstate(over="ignore"):  # an overflowed trace reads inf, which fails the check
+            bound = float(C.trace()) * float(np.vdot(Linv, Linv))
+    if Linv is None or not bound < _CERTIFIED:
+        if not np.isfinite(C).all():
+            raise ValueError("scatter matrix is not finite (the data come too near the float range)")
+        evals, evecs = sym_eigen(C)
+        if evals[-1] <= _SINGULAR_RTOL * max(evals[0], 1e-300):
+            raise ValueError(
+                f"scatter matrix is singular: smallest eigenvalue {evals[-1]:.3e} "
+                f"against largest {evals[0]:.3e}"
+            )
+        if Linv is None:  # Linv' Linv = C^-1 from the eigenpairs
+            Linv = (evecs / np.sqrt(evals)).T
+    return row_norms((X - est.location) @ Linv.T)
 
 
 def check_alpha(alpha: float):
@@ -190,7 +223,8 @@ def ogk_reweight(X, est: LocationScatter, beta: float = OGK_BETA) -> LocationSca
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     n, p = X.shape
-    d2 = robust_distances(X, est) ** 2
+    with np.errstate(over="ignore"):  # a distance past about 1e154 squares to inf, rejected
+        d2 = robust_distances(X, est) ** 2
     d0_sq = chi2_quantile(beta, p) * float(median(d2)) / chi2_quantile(0.5, p)
     keep = d2 < d0_sq
     if keep.sum() < p + 1:

@@ -17,6 +17,7 @@ from pcout.baselines import (
     robust_distances,
     sign2_detect,
 )
+from pcout.evalsim import REFERENCE_OUTLIER_ROWS, SimSpec, generate_contaminated
 from pcout.prcmpout import detect
 from pcout.robust import MAD_SCALE, _lane_median_mad, median_mad
 from pcout.spectral import sym_eigen
@@ -32,6 +33,40 @@ def _per_column_pairwise(X):
         x, y = Y[:, j : j + 1], Y[:, j + 1 :]
         U[j, j + 1 :] = U[j + 1 :, j] = 0.25 * (mad(x + y) ** 2 - mad(x - y) ** 2)
     return d, U
+
+
+def _eigen_rule_distances(X, est):
+    """Mahalanobis distances by the eigenvalue rule spelled out: refuse the
+    scatter when sym_eigen's smallest eigenvalue is at most 1e-12 times its
+    largest, else take the eigen-weighted norms sqrt(sum_k y_k^2 / lambda_k)."""
+    evals, evecs = sym_eigen(est.scatter)
+    if evals[-1] <= 1e-12 * max(evals[0], 1e-300):
+        raise ValueError(
+            f"scatter matrix is singular: smallest eigenvalue {evals[-1]:.3e} "
+            f"against largest {evals[0]:.3e}"
+        )
+    Y = (X - est.location) @ evecs
+    return np.sqrt((Y**2 / evals).sum(axis=1))
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """The scatters robust_distances eigendecomposes, in call order."""
+    calls = []
+
+    def counted(C):
+        calls.append(C)
+        return sym_eigen(C)
+
+    monkeypatch.setattr(baselines, "sym_eigen", counted)
+    return calls
 
 
 def _with_cell(value):
@@ -118,6 +153,75 @@ class TestRobustDistances:
         with pytest.raises(ValueError, match="eigenvalue"):
             robust_distances(np.eye(2), est)
 
+    # Condition numbers either side of the certificate's limit, where
+    # trace(C) trace(C^-1) reaches 1e11, and of the singular test's 1e12. For
+    # diag(s, s / cond) the product is cond + 2 + 1 / cond, so only the first
+    # is certified without an eigendecomposition; a diagonal scatter is
+    # factored and decomposed exactly, so both ways agree to rounding.
+    @pytest.mark.parametrize("cond, decomposed", [(0.99e11, 0), (1.01e11, 1), (0.99e12, 1), (1.01e12, 1)])
+    @pytest.mark.parametrize("scale", [2.0**-40, 1.0, 3e7], ids=["tiny", "unit", "large"])
+    def test_singular_rule_is_the_eigenvalue_test(self, cond, decomposed, scale, eigen_calls):
+        X = np.random.Generator(np.random.Philox(45)).standard_normal((20, 2))
+        est = LocationScatter(np.array([0.5, -1.0]), np.diag([scale, scale / cond]))
+        expected = _outcome(_eigen_rule_distances, X, est)
+        got = _outcome(robust_distances, X, est)
+        assert len(eigen_calls) == decomposed
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    # The same condition numbers on a rotated scatter: the same outcome, with
+    # distances that agree only as far as an ill-conditioned matrix lets them
+    @pytest.mark.parametrize("cond", [0.99e11, 1.01e11, 0.99e12, 1.01e12])
+    def test_rotated_scatters_get_the_eigenvalue_tests_outcome(self, cond):
+        H = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+        C = H @ np.diag([1.0, 0.5, 0.25, 1.0 / cond]) @ H
+        X = np.random.Generator(np.random.Philox(46)).standard_normal((20, 4))
+        est = LocationScatter(np.zeros(4), (C + C.T) / 2.0)
+        expected = _outcome(_eigen_rule_distances, X, est)
+        got = _outcome(robust_distances, X, est)
+        assert type(got) is type(expected)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "C",
+        [
+            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            np.zeros((3, 3)),
+            -np.eye(3),
+        ],
+        ids=["rank-deficient", "indefinite", "zero", "negative-definite"],
+    )
+    def test_a_scatter_without_a_factor_gets_the_eigenvalue_message(self, C):
+        C = np.asarray(C)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(C)
+        est = LocationScatter(np.zeros(3), C)
+        expected = _outcome(_eigen_rule_distances, np.eye(3), est)
+        assert expected.startswith("scatter matrix is singular")
+        with pytest.raises(ValueError) as raised:
+            robust_distances(np.eye(3), est)
+        assert str(raised.value) == expected
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_scatter_gets_no_result(self, bad):
+        C = np.eye(3)
+        C[1, 1] = bad
+        with pytest.raises(ValueError, match="scatter matrix is not finite"):
+            robust_distances(np.eye(3), LocationScatter(np.zeros(3), C))
+
+    def test_the_sweeps_classical_scatters_need_no_eigendecomposition(self, eigen_calls):
+        for p in (10, 20, 30, 40):
+            for seed in range(1, 7):
+                spec = SimSpec(100, p, REFERENCE_OUTLIER_ROWS, location_shift=1.5, seed=seed)
+                classical_detect(generate_contaminated(spec)[0], 0.05)
+        assert eigen_calls == []
+
 
 class TestClassicalDetect:
     def test_cutoff_matches_the_table(self):
@@ -127,6 +231,17 @@ class TestClassicalDetect:
         assert result.cutoff == pytest.approx(4.278672, abs=1e-4)
         assert result.method == "classical"
         assert np.array_equal(result.flags, result.distances > result.cutoff)
+
+    # A row at 1e155 or beyond overflows the sample covariance (a warning kept
+    # until the covariance is taken on scaled columns); the detector must then
+    # fail with a named error rather than score rows against an infinite scatter
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("gross", [1e155, 1e200, 1e300])
+    def test_a_gross_finite_row_fails_closed(self, gross):
+        X = np.random.Generator(np.random.Philox(30)).standard_normal((60, 5))
+        X[7] = gross
+        with pytest.raises(ValueError, match="scatter matrix is not finite"):
+            classical_detect(X, alpha=0.05)
 
     def test_repeated_rows_are_singular(self):
         X = np.tile([1.0, 2.0, 3.0], (10, 1))
@@ -386,14 +501,14 @@ class TestOgkDetect:
         assert result.flags[8:].mean() < 0.2
 
 
-# Squares of distances past about 1e154 overflowed in sign2 and OGK's wide
-# branch, which turned the gross row's distance into inf; pytest turns any
+# Squares of distances past about 1e154 overflowed in sign2 and both OGK
+# branches, which turned the gross row's distance into inf; pytest turns any
 # RuntimeWarning into an error
 @pytest.mark.parametrize("gross", [1e155, 1e200, 1e300, 1e305])
 @pytest.mark.parametrize(
     "method, shape",
-    [("sign2", (60, 5)), ("sign2", (20, 50)), ("ogk", (20, 50))],
-    ids=["sign2-60x5", "sign2-20x50", "ogk-wide-20x50"],
+    [("sign2", (60, 5)), ("sign2", (20, 50)), ("ogk", (20, 50)), ("ogk", (60, 5))],
+    ids=["sign2-60x5", "sign2-20x50", "ogk-wide-20x50", "ogk-60x5"],
 )
 def test_one_gross_finite_row_gets_the_flags_of_an_ordinary_gross_row(method, shape, gross):
     run = {"sign2": sign2_detect, "ogk": ogk_detect}[method]
@@ -425,8 +540,11 @@ def test_no_output_depends_on_the_signs_of_the_eigenvectors(shape, monkeypatch):
     X = rng.standard_normal(shape) * rng.uniform(0.5, 4.0, shape[1])
     X[: shape[0] // 10] += 1.5
     runs = [detect, lambda X: sign2_detect(X, 0.05), lambda X: ogk_detect(X, 0.05)]
+    decomposing = len(runs)
     if shape[0] > shape[1]:
+        # classical_detect factors its covariance and decomposes nothing
         runs += [lambda X: classical_detect(X, 0.05), ogk_estimate]
+        decomposing += 1
     plain = [_leaves(run(X)) for run in runs]
 
     eigh, calls = np.linalg.eigh, []
@@ -439,5 +557,5 @@ def test_no_output_depends_on_the_signs_of_the_eigenvectors(shape, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", every_other_column_negated)
     flipped = [_leaves(run(X)) for run in runs]
-    assert len(calls) >= len(runs)
+    assert len(calls) >= decomposing
     assert flipped == plain

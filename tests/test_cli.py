@@ -784,6 +784,32 @@ class TestDetectCommand:
         records = json.loads(capsys.readouterr().out, parse_constant=refuse)["records"]
         assert "8" in [r["row_id"] for r in records if r["flag"]]
 
+    def test_a_gross_finite_row_gets_a_finite_ogk_report(self, tmp_path, capsys):
+        def refuse(constant):
+            raise ValueError(f"{constant} in the report")
+
+        X = np.random.Generator(np.random.Philox(30)).standard_normal((60, 5))
+        X[7] = 1e200
+        path = tmp_path / "gross.csv"
+        _write_csv(path, [f"c{j}" for j in range(5)], X.tolist())
+        assert main(["detect", "--input", str(path), "--method", "ogk"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "Infinity" not in out
+        records = json.loads(out, parse_constant=refuse)["records"]
+        assert "8" in [r["row_id"] for r in records if r["flag"]]
+
+    # the sample covariance still overflows on such a row (and warns)
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_a_gross_finite_row_fails_classical_with_exit_3(self, tmp_path, capsys):
+        X = np.random.Generator(np.random.Philox(30)).standard_normal((60, 5))
+        X[7] = 1e200
+        path = tmp_path / "gross.csv"
+        _write_csv(path, [f"c{j}" for j in range(5)], X.tolist())
+        assert main(["detect", "--input", str(path), "--method", "classical"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scatter matrix is not finite" in captured.err
+
     def test_alpha_out_of_range_is_a_config_error(self, normal_csv, capsys):
         for alpha in ("1.5", "1e-17"):  # 1 - 1e-17 rounds to 1
             code = main(

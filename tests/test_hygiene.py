@@ -233,6 +233,31 @@ def test_the_check_sees_every_eigendecomposition():
     ]
 
 
+def factorizations(source: str) -> list[str]:
+    """Each Cholesky factorization the module names (see ``named``)."""
+    return named(source, {"cholesky"})
+
+
+# robust_distances factors a scatter once; it also decides, from that factor,
+# whether the scatter needs an eigendecomposition
+def test_only_robust_distances_factors_a_scatter():
+    found = {str(p.relative_to(ROOT)): factorizations(p.read_text(encoding="utf-8")) for p in SRC}
+    assert {path: names for path, names in found.items() if names} == {
+        "src/pcout/baselines.py": ["robust_distances: cholesky"],
+    }
+
+
+def test_the_check_sees_every_factorization():
+    source = (
+        "import numpy as np\n"
+        "from scipy.linalg import cholesky, cho_factor\n"
+        "def whiten(C):\n"
+        "    return np.linalg.inv(np.linalg.cholesky(C))\n"
+        "la.cholesky(C); np.linalg.qr(C); np.linalg.inv(C)\n"
+    )
+    assert factorizations(source) == ["<module>: cholesky", "whiten: cholesky", "<module>: cholesky"]
+
+
 def forks(source: str) -> list[str]:
     """Each ``os.fork`` the module names (see ``named``)."""
     return named(source, {"fork"})
