@@ -7,6 +7,12 @@ shift and an inflated identity covariance. Generation runs on a counter-based
 generator (Philox) keyed by the spec seed, so streams reproduce across
 platforms; replication r of a sweep uses seed + r.
 
+Normals fill a matrix row by row, so a seed's n x p matrix is the first n * p
+normals of any longer draw from it. A sweep loops over replications on the
+outside and draws n * max(p) normals once per replication. Each dimension, in
+ascending order, takes its prefix and contaminates a copy; the largest runs
+last and contaminates the draw itself in place.
+
 Results come back as data: ``document`` puts a sweep's or a timing run's rows,
 as columns, next to the spec that generated them, and ``dataio`` writes that
 document as JSON or CSV.
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -65,6 +71,24 @@ class SimSpec:
         return {**asdict(self), "outlier_indices": sorted(self.outlier_indices)}
 
 
+def _normals(seed: int, size) -> np.ndarray:
+    """Standard normals of the given size from the Philox stream keyed by ``seed``."""
+    return np.random.Generator(np.random.Philox(seed)).standard_normal(size)
+
+
+def _contaminate(X: np.ndarray, truth: np.ndarray, spec: SimSpec) -> np.ndarray:
+    """Scale by sqrt(scatter_factor), then shift, the rows ``truth`` marks, in place."""
+    rows = np.flatnonzero(truth)
+    X[rows] = spec.location_shift + np.sqrt(spec.scatter_factor) * X[rows]
+    return X
+
+
+def _truth(spec: SimSpec) -> np.ndarray:
+    truth = np.zeros(spec.n, dtype=bool)
+    truth[[i - 1 for i in spec.outlier_indices]] = True
+    return truth
+
+
 def generate_contaminated(spec: SimSpec) -> tuple[np.ndarray, np.ndarray]:
     """Draw one contaminated data set and its ground-truth outlier labels.
 
@@ -72,14 +96,8 @@ def generate_contaminated(spec: SimSpec) -> tuple[np.ndarray, np.ndarray]:
     scaled by sqrt(scatter_factor), then shifted by location_shift everywhere.
     Identical specs yield bit-identical matrices.
     """
-    rng = np.random.Generator(np.random.Philox(spec.seed))
-    X = rng.standard_normal((spec.n, spec.p))
-    truth = np.zeros(spec.n, dtype=bool)
-    if spec.outlier_indices:
-        rows = np.array(sorted(spec.outlier_indices), dtype=int) - 1
-        truth[rows] = True
-        X[rows] = spec.location_shift + np.sqrt(spec.scatter_factor) * X[rows]
-    return X, truth
+    truth = _truth(spec)
+    return _contaminate(_normals(spec.seed, (spec.n, spec.p)), truth, spec), truth
 
 
 @dataclass(frozen=True)
@@ -136,17 +154,24 @@ def dimension_sweep(
 ) -> list[SweepRow]:
     """Average FN/FP of a detector over seeded replications at each dimension.
 
-    Replication r uses seed = base seed + r. A detector failure in one
-    replication is recorded on the row instead of aborting the sweep; the
+    Replication r uses seed = base seed + r; each cell's matrix is the one
+    ``generate_contaminated`` draws for that p and seed. A detector failure in
+    one replication is recorded on the row instead of aborting the sweep; the
     means cover the replications that succeeded.
     """
     if replications < 1:
         raise ValueError(f"replications must be positive, got {replications}")
-    rows = []
-    for p in p_values:
-        fns, fps, failures = [], [], []
-        for r in range(replications):
-            X, truth = generate_contaminated(replace(base_spec, p=int(p), seed=base_spec.seed + r))
+    p_values = [int(p) for p in p_values]
+    if any(p < 1 for p in p_values) or len(set(p_values)) < len(p_values):
+        raise ValueError(f"p values must be positive and distinct, got {p_values}")
+    n, truth, top = base_spec.n, _truth(base_spec), max(p_values, default=0)
+    cells = {p: ([], [], []) for p in p_values}  # fns, fps, failures
+    for r in range(replications):
+        X = stream = None  # release the previous replication's draw first
+        stream = _normals(base_spec.seed + r, n * top)
+        for p, (fns, fps, failures) in sorted(cells.items()):
+            X = stream[: n * p].reshape(n, p)
+            X = _contaminate(X if p == top else X.copy(), truth, base_spec)
             try:
                 flags = detector(X)
             except Exception as exc:  # recorded per cell, not fatal
@@ -157,19 +182,19 @@ def dimension_sweep(
                 fns.append(counts.fn_rate)
             if counts.fp_rate is not None:
                 fps.append(counts.fp_rate)
-        rows.append(
-            SweepRow(
-                p=int(p),
-                detector=detector_name,
-                mean_fn=float(np.mean(fns)) if fns else None,
-                mean_fp=float(np.mean(fps)) if fps else None,
-                replications=replications,
-                seed=base_spec.seed,
-                alpha=alpha,
-                failures=tuple(failures),
-            )
+    return [
+        SweepRow(
+            p=p,
+            detector=detector_name,
+            mean_fn=float(np.mean(fns)) if fns else None,
+            mean_fp=float(np.mean(fps)) if fps else None,
+            replications=replications,
+            seed=base_spec.seed,
+            alpha=alpha,
+            failures=tuple(failures),
         )
-    return rows
+        for p, (fns, fps, failures) in cells.items()
+    ]
 
 
 @dataclass(frozen=True)

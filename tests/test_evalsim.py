@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,83 @@ class TestDimensionSweep:
         assert not ok_row.failures
         assert len(bad_row.failures) == 3
         assert bad_row.mean_fn is None
+
+
+def _recording(write=False):
+    """A handle that keeps a copy of each matrix it gets, by width in call
+    order (and then overwrites that matrix when ``write``); flags nothing."""
+    seen = {}
+
+    def handle(X):
+        seen.setdefault(X.shape[1], []).append(X.copy())
+        if write:
+            X[...] = np.nan
+        return np.zeros(len(X), dtype=bool)
+
+    return handle, seen
+
+
+_CELL_SPECS = {
+    "reference rows": SimSpec(
+        n=40, p=1, outlier_indices=frozenset({1, 7, 22, 40}), location_shift=1.5, seed=3
+    ),
+    "scatter 3 and a shift": SimSpec(
+        n=40, p=1, outlier_indices=frozenset({2, 5, 31}), location_shift=-2.0, scatter_factor=3.0, seed=11
+    ),
+    "no planted rows": SimSpec(n=40, p=1, seed=0),
+}
+
+
+class TestSweepCells:
+    """Each (p, replication) cell sees exactly ``generate_contaminated``'s matrix."""
+
+    @staticmethod
+    def _assert_cells_generated(seen, spec, p_values, replications):
+        assert sorted(seen) == sorted(p_values)
+        for p in p_values:
+            # the r-th matrix of width p is replication r's
+            assert len(seen[p]) == replications
+            for r, got in enumerate(seen[p]):
+                want, _ = generate_contaminated(dataclasses.replace(spec, p=p, seed=spec.seed + r))
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (p, r)
+
+    @pytest.mark.parametrize("name", sorted(_CELL_SPECS))
+    def test_every_cell_is_the_generated_matrix(self, name):
+        spec = _CELL_SPECS[name]
+        handle, seen = _recording()
+        rows = dimension_sweep(handle, [12, 5, 8], 3, spec)
+        assert [row.p for row in rows] == [12, 5, 8]
+        self._assert_cells_generated(seen, spec, [12, 5, 8], 3)
+
+    def test_a_handle_that_writes_into_its_matrix_changes_no_later_cell(self):
+        spec = _CELL_SPECS["reference rows"]
+        handle, seen = _recording(write=True)
+        dimension_sweep(handle, [12, 5, 8], 3, spec)
+        self._assert_cells_generated(seen, spec, [12, 5, 8], 3)
+
+    @pytest.mark.parametrize("p_values", [[5, 8, 5], [5, 0], [-3]])
+    def test_repeated_or_nonpositive_p_is_refused_before_any_detection(self, p_values):
+        calls = []
+
+        def counting(X):
+            calls.append(X.shape)
+            return np.zeros(len(X), dtype=bool)
+
+        with pytest.raises(ValueError, match="p values"):
+            dimension_sweep(counting, p_values, 2, _CELL_SPECS["reference rows"])
+        assert calls == []
+
+    @pytest.mark.parametrize("p_values", [[1000, 20000], [20000, 1000], [5000, 10000, 20000]])
+    def test_traced_peak_is_at_most_seven_quarters_of_the_largest_matrix(self, p_values):
+        spec = SimSpec(n=100, p=1, outlier_indices=REFERENCE_OUTLIER_ROWS, location_shift=1.5)
+        tracemalloc.start()
+        try:
+            dimension_sweep(lambda X: np.zeros(len(X), dtype=bool), p_values, 2, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * spec.n * max(p_values) * 8
 
 
 class TestTimeDetectors:

@@ -310,6 +310,33 @@ def test_the_check_sees_every_power_of_two_scaling():
     ]
 
 
+def random_draws(source: str) -> list[str]:
+    """Each Philox generator, normal draw or default generator the module names (see ``named``)."""
+    return named(source, {"Philox", "standard_normal", "default_rng"})
+
+
+# evalsim._normals is the one stream every simulated matrix is cut from
+def test_only_evalsim_draws_random_numbers():
+    found = {str(p.relative_to(ROOT)): random_draws(p.read_text(encoding="utf-8")) for p in SRC}
+    assert {path: sorted(names) for path, names in found.items() if names} == {
+        "src/pcout/evalsim.py": ["_normals: Philox", "_normals: standard_normal"],
+    }
+
+
+def test_the_check_sees_every_random_draw():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng, Philox as P\n"
+        "def draw(seed, n):\n"
+        "    return np.random.Generator(np.random.Philox(seed)).standard_normal(n)\n"
+        "np.random.default_rng(1).normal(); rng.standard_normal(3); np.random.uniform()\n"
+    )
+    assert random_draws(source) == [
+        "<module>: default_rng", "<module>: Philox", "draw: standard_normal", "draw: Philox",
+        "<module>: default_rng", "<module>: standard_normal",
+    ]
+
+
 # Loaded only on load_csv's parallel route, if at all: the benchmark's setup_s
 # times a fresh ``import pcout, pcout.cli``. ``statistics`` (which loads
 # ``fractions`` and ``decimal``) would be a second median besides robust's.
