@@ -19,7 +19,7 @@ times its largest.
 
 OGK's p(p - 1)/2 pairwise scales are taken block by block: each block writes
 the sums and differences of consecutive pairs of columns into one buffer and
-takes their MADs with one select.
+takes their MADs with one call of robust's lane kernel, which sorts n <= 256.
 """
 
 from __future__ import annotations
@@ -143,12 +143,13 @@ def _ogk_pairwise(Yt) -> np.ndarray:
 
     The pairs are taken in blocks of consecutive pairs: a block writes its
     sums and then its differences into one C-ordered buffer, reused from
-    block to block, and takes all their MADs with one select. A block holds
-    at most max(p - 1, _OGK_BLOCK_CELLS // n) lanes (and at least one pair):
-    the whole triangle at the sweep's sizes, else several short rows of it
-    or part of a long one. So the buffer is no larger than the (p - 1) x n
-    sums of one row that a row-at-a-time loop holds, unless that is smaller
-    than the budget."""
+    block to block, and takes all their MADs with one call of robust's lane
+    kernel, which sorts lanes of n <= 256 samples whole (robust._select). A
+    block holds at most max(p - 1, _OGK_BLOCK_CELLS // n) lanes (and at least
+    one pair): the whole triangle at the sweep's sizes, else several short rows
+    of it or part of a long one. So the buffer is no larger than the (p - 1) x n
+    sums of one row that a row-at-a-time loop holds, unless that is smaller than
+    the budget."""
     p, n = Yt.shape
     cov = np.empty(p * (p - 1) // 2)
     pairs = max(1, max(p - 1, _OGK_BLOCK_CELLS // n) // 2)

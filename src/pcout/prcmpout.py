@@ -19,7 +19,7 @@ The pipeline:
      M, c at the chi-square 25th/99th percentile scale
   6. combine: w = (w1 + s)(w2 + s) / (1 + s)^2 with s = 0.25
 
-Every median, MAD and quantile is taken by the one select kernel in ``robust``.
+Every median, MAD and quantile is taken by the one lane kernel in ``robust``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Order-statistics primitives: median/MAD, the type-7 quantile, the spatial
 (L1) median, robust column sphering and the row norms every detector scores by.
 
-Every median and quantile in the package is taken here, by one single-kth
-select, and every Euclidean row norm by ``row_norms``, which stays finite for a
+Every median and quantile in the package is taken here, by one lane kernel
+that sorts a lane of at most 256 values whole and partitions a longer one at
+one kth, and every Euclidean row norm by ``row_norms``, which stays finite for a
 row whose norm does, however near the float range its entries sit. Everything
 here is a pure function of its inputs. Scale estimation uses the median
 absolute deviation multiplied by 1.4826, which makes it consistent for the
@@ -18,6 +19,9 @@ import numpy as np
 # Consistency factor for the MAD at the normal distribution.
 MAD_SCALE = 1.4826
 
+# The longest lane _select sorts whole; from 257 values on, numpy's sort costs a select's time
+_SORTED_LANE = 256
+
 _L1_TOL = 1e-10
 _L1_MAX_ITER = 500
 
@@ -32,58 +36,73 @@ def _lanes(X, axis):
     return np.array(lanes, dtype=float, order="C")
 
 
+def _select(A, k):
+    """Order each lane (last axis) of A in place so that A[..., k] holds its kth
+    smallest value, NaN last, and return ``largest(start, stop)``: the largest
+    value of each lane's A[..., start:stop], a span on one side of k. A lane of
+    at most _SORTED_LANE values is sorted whole, which numpy's SIMD sort does in
+    less time than one select plus a strided reduction, and ``largest`` reads
+    A[..., stop - 1]; a longer lane is partitioned at k, and ``largest`` reduces."""
+    if A.shape[-1] <= _SORTED_LANE:
+        A.sort(axis=-1)
+        return lambda start, stop: A[..., stop - 1]
+    A.partition(k, axis=-1)
+    return lambda start, stop: np.maximum.reduce(A[..., start:stop], axis=-1)
+
+
 def _middle(A):
-    """np.median of each lane (last axis) of A that holds no NaN. A is a C-ordered
-    float array the caller owns, partitioned in place at one kth: numpy selects one
-    kth with SIMD, and np.median's three with introselect. -0.0 reads 0.0."""
+    """np.median of each lane (last axis) of A that holds no NaN, and _select's
+    ``largest`` for A. A is a C-ordered float array the caller owns, ordered in
+    place by _select at the upper middle. -0.0 reads 0.0."""
     h = A.shape[-1] // 2
-    A.partition(h, axis=-1)
+    largest = _select(A, h)
     med = A[..., h] + 0.0
     if A.shape[-1] % 2 == 0:
-        med += np.maximum.reduce(A[..., :h], axis=-1)
+        med += largest(0, h)
         med /= 2.0
-    return med
+    return med, largest
 
 
-def _nan_for_nan_lanes(value, A, k):
-    """value, with NaN for each lane of A that holds a NaN. A is partitioned at k,
-    which sorts NaN last, so a lane's NaN is in A[..., k:]."""
-    return np.where(np.isnan(np.maximum.reduce(A[..., k:], axis=-1)), np.nan, value)[()]
+def _nan_for_nan_lanes(value, tail):
+    """value, with NaN for each lane whose tail, its largest value from _select's
+    kth on, is NaN: NaN sorts last, so those are the lanes holding a NaN."""
+    return np.where(np.isnan(tail), np.nan, value)[()]
 
 
 def _lane_median(A):
     """np.median of each lane of A, as _middle takes it, NaN for a lane holding one."""
-    return _nan_for_nan_lanes(_middle(A), A, A.shape[-1] // 2)
+    med, largest = _middle(A)
+    return _nan_for_nan_lanes(med, largest(A.shape[-1] // 2, A.shape[-1]))
 
 
 def _lane_median_mad(A):
     """Median and scaled MAD of each lane of A, as _lane_median takes them; overwrites
-    A. The MAD's select needs no NaN check of its own: a NaN or ±inf median makes at
-    least half the deviations NaN, so the select already returns NaN."""
+    A. The MAD needs no NaN check of its own: a NaN or ±inf median makes at least
+    half the deviations NaN, so the middle that _select orders already reads NaN."""
     med = _lane_median(A)
     A -= med[..., None]
     np.abs(A, out=A)
-    return med, MAD_SCALE * _middle(A)
+    return med, MAD_SCALE * _middle(A)[0]
 
 
 def _lane_quantile(A, q):
     """np.quantile(lane, q), type 7, of each lane of A for q in [0, 1]; overwrites A.
 
-    A is partitioned at the upper of the two order statistics the quantile
-    interpolates between, so the lower one is the largest value left of it; the
-    interpolation is numpy's _lerp arithmetic, with numpy's weight.
+    A is ordered by _select at the upper of the two order statistics the
+    quantile interpolates between, so the lower one is the largest value left
+    of it; the interpolation is numpy's _lerp arithmetic, with numpy's weight.
     """
     n = A.shape[-1]
     v = (n - 1) * q
     top = v >= n - 1  # numpy then interpolates from its index -1, the largest value, to itself
     k = n - 1 if top else int(v) + 1
-    A.partition(k, axis=-1)
+    largest = _select(A, k)
     hi = A[..., k]
-    lo = hi if top else np.maximum.reduce(A[..., :k], axis=-1)
+    lo = hi if top else largest(0, k)
     t = v + 1.0 if top else v - (k - 1)
     step = hi - lo
     value = hi - step * (1.0 - t) if t >= 0.5 else lo + step * t
-    return _nan_for_nan_lanes(value, A, k)
+    return _nan_for_nan_lanes(value, largest(k, n))
 
 
 def median(X, axis=None):

@@ -136,7 +136,8 @@ def test_the_check_sees_an_unread_private_name():
 
 
 # numpy's and the statistics module's order statistics, by the module's name;
-# only robust.py selects
+# only robust.py selects or sorts (numpy's argsort, which orders eigenvalues,
+# is no order statistic)
 _NUMPY_SELECTS = {"median", "nanmedian", "percentile", "nanpercentile", "quantile", "nanquantile"}
 _SELECTS = {
     "np": _NUMPY_SELECTS,
@@ -146,15 +147,16 @@ _SELECTS = {
 
 
 def order_statistics(source: str) -> list[str]:
-    """Each numpy or ``statistics`` order statistic the module names, and each ``.partition``."""
+    """Each numpy or ``statistics`` order statistic the module names, and each
+    ``.partition`` or ``.sort``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute):
             selects = _SELECTS.get(getattr(node.value, "id", None), set())
-            if node.attr in {"partition", "argpartition"} or node.attr in selects:
+            if node.attr in {"partition", "argpartition", "sort"} or node.attr in selects:
                 found.append(node.attr)
         elif isinstance(node, ast.ImportFrom) and node.module in _SELECTS:
-            found.extend(a.name for a in node.names if a.name in _SELECTS[node.module] | {"partition"})
+            found.extend(a.name for a in node.names if a.name in _SELECTS[node.module] | {"partition", "sort"})
     return found
 
 
@@ -175,10 +177,13 @@ def test_the_check_sees_every_way_to_a_median():
         "np.median(x); numpy.nanmedian(x); x.partition(3); np.quantile(x, 0.5)\n"
         "statistics.median(x); statistics.quantiles(x); statistics.mean(x)\n"
         "robust.median(x); np.mean(x)\n"
+        "from numpy import sort, argsort\n"
+        "x.sort(axis=-1); np.sort(x); numpy.sort(x); np.argsort(x); x.argsort()\n"
     )
     assert sorted(order_statistics(source)) == [
         "median", "median", "median", "nanmedian",
         "partition", "percentile", "quantile", "quantiles",
+        "sort", "sort", "sort", "sort",
     ]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pcout import robust
 from pcout.baselines import sign2_detect
 from pcout.prcmpout import detect
 from pcout.robust import (
@@ -20,6 +21,10 @@ from pcout.robust import (
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 samples = st.lists(finite_floats, min_size=1, max_size=40)
+
+# robust._SORTED_LANE values that send every lane down one route of the lane
+# kernel: partitioned at one kth (0), or sorted whole (above every lane's length)
+_ROUTES = (0, 2**62)
 
 
 class TestMedian:
@@ -58,7 +63,8 @@ def _matrices(draw):
 
 
 class TestSingleSelectKernel:
-    """robust.median and median_mad give np.median's bytes, on every layout."""
+    """robust.median and median_mad give np.median's bytes, on every layout and
+    on both routes of the lane kernel."""
 
     @staticmethod
     def _same(got, want):
@@ -67,18 +73,43 @@ class TestSingleSelectKernel:
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_matrices(), st.sampled_from([None, 0]), st.booleans())
-    def test_median_and_mad_match_np_median(self, laid_out, values, axis, one_d):
+    def test_median_and_mad_match_np_median(self, laid_out, monkeypatch, values, axis, one_d):
         X = laid_out(values[:, :1] if one_d else values)
         X = X[:, 0] if one_d else X
+        for limit in _ROUTES:
+            monkeypatch.setattr(robust, "_SORTED_LANE", limit)
+            self._matches_np_median(X, axis)
+
+    @classmethod
+    def _matches_np_median(cls, X, axis):
         before = X.tobytes()
         with np.errstate(invalid="ignore"):  # inf - inf, in both computations
             med = np.median(X, axis=axis)
             mad = MAD_SCALE * np.median(np.abs(X - med), axis=axis)
-            self._same(median(X, axis=axis), med)
+            cls._same(median(X, axis=axis), med)
             got_med, got_mad = median_mad(X, axis=axis)
-        self._same(got_med, med)
-        self._same(got_mad, mad)
+        cls._same(got_med, med)
+        cls._same(got_mad, mad)
         assert X.tobytes() == before
+
+    # lanes on both sides of the longest sorted one, odd and even: one without
+    # ties, then ties, +-inf, signed zeros and a NaN in one lane
+    @pytest.mark.parametrize("n", [robust._SORTED_LANE - 1, robust._SORTED_LANE, robust._SORTED_LANE + 1])
+    def test_lanes_at_the_route_limit(self, laid_out, n):
+        rng = np.random.Generator(np.random.Philox(n))
+        values = rng.integers(-6, 7, (n, 5)).astype(float)
+        values[values == 0.0] = rng.choice([0.0, -0.0], int((values == 0.0).sum()))
+        values[:, 0] = rng.standard_normal(n)  # no ties: a quantile's two order statistics differ
+        values[rng.choice(n, 40, replace=False), 1] = rng.choice([np.inf, -np.inf], 40)
+        values[:, 2] = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -np.inf], n)
+        values[:, 3] = np.where(np.arange(n) < n // 2, -np.inf, np.inf)
+        values[rng.integers(n), 4] = np.nan
+        X = laid_out(values)
+        for lanes, axis in ((X, 0), (X, None), (X[:, 1], None), (X[:, 4], None)):
+            self._matches_np_median(lanes, axis)
+            for q in (0.0, 1.0 / 3.0, 0.5, 0.9, 1.0):
+                with np.errstate(invalid="ignore"):  # inf - inf, in both computations
+                    TestQuantile._same(quantile(lanes, q, axis=axis), np.quantile(lanes, q, axis=axis))
 
     @pytest.mark.parametrize("n", [1000, 1001])
     def test_long_lanes_with_ties(self, n):
@@ -143,13 +174,15 @@ class TestQuantile:
         assert np.shape(got) == np.shape(want)
         assert (np.asarray(got) + 0.0).tobytes() == (np.asarray(want) + 0.0).tobytes()
 
-    @settings(max_examples=120)
+    @settings(max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_quantile_samples(), st.one_of(st.sampled_from([0.0, 1.0 / 3.0, 0.5, 1.0]), st.floats(0, 1)))
-    def test_matches_np_quantile_bit_for_bit(self, X, q):
+    def test_matches_np_quantile_bit_for_bit(self, monkeypatch, X, q):
         before = X.tobytes()
-        for values, axis in ((X, 0), (X, None), (X[:, 0], None)):
-            with np.errstate(invalid="ignore"):  # inf - inf, in both computations
-                self._same(quantile(values, q, axis=axis), np.quantile(values, q, axis=axis))
+        for limit in _ROUTES:
+            monkeypatch.setattr(robust, "_SORTED_LANE", limit)
+            for values, axis in ((X, 0), (X, None), (X[:, 0], None)):
+                with np.errstate(invalid="ignore"):  # inf - inf, in both computations
+                    self._same(quantile(values, q, axis=axis), np.quantile(values, q, axis=axis))
         assert X.tobytes() == before
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
