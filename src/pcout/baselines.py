@@ -8,7 +8,7 @@ All three turn distances into flags the same way (``_chi2_cut``): flagged
 beyond sqrt(chi2(df, 1 - alpha)). OGK and sign2 first median-calibrate their
 distances with ``prcmpout.transform_distances``, the rule PrCmpOut applies, and
 OGK's wide branch spheres its scores with ``robust.robust_sphere``. Every
-distance, and sign2's signs, comes from ``robust``'s row norms.
+distance, and sign2's signs, comes from ``robust.row_norms``.
 
 Classical and OGK's n > p distances go through ``robust_distances``: one
 Cholesky factor L of the scatter, and the row norms of (X - location) L^-T.
@@ -31,7 +31,7 @@ import numpy as np
 
 from .chisq import chi2_quantile
 from .prcmpout import checked_matrix, transform_distances
-from .robust import _lane_median_mad, _scaled_row_norms, median, median_mad, robust_sphere, row_norms
+from .robust import _lane_median_mad, median, median_mad, robust_sphere, row_norms
 from .spectral import covariance, pca_basis, project, sym_eigen
 
 _SINGULAR_RTOL = 1e-12
@@ -256,15 +256,15 @@ def ogk_detect(X, alpha: float) -> DetectionResult:
     return _chi2_cut(transform_distances(dist, p), p, alpha, "ogk")
 
 
-def _unit_rows(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial signs of the rows of D: each nonzero row scaled to unit norm,
-    however far out it sits, and each zero row (a row at the center) left
-    zero; plus the mask of nonzero rows."""
-    norms = _scaled_row_norms(D)
+def _unit_rows(D: np.ndarray) -> np.ndarray:
+    """Spatial signs of the nonzero rows of D, each scaled to unit norm however
+    near either end of the float range it sits; a zero row (a row at the
+    center) has no direction and is left out."""
+    norms = row_norms(D)
     off = norms > 0.0
-    S = np.zeros_like(D)
-    S[off] = D[off] / norms[off, None]
-    return S, off
+    S = D[off]
+    S /= norms[off, None]
+    return S
 
 
 def sign2_detect(X, alpha: float) -> DetectionResult:
@@ -284,11 +284,11 @@ def sign2_detect(X, alpha: float) -> DetectionResult:
     n = X.shape[0]
 
     D = X - median(X, axis=0)
-    S, off_center = _unit_rows(D)
-    if off_center.sum() < 2:
+    S = _unit_rows(D)
+    if len(S) < 2:
         raise ValueError("fewer than 2 rows away from the spatial center")
 
-    basis = pca_basis(S[off_center], max_components=n - 1)
+    basis = pca_basis(S, max_components=n - 1)
     Z = project(D, basis)
     _, sc = median_mad(Z, axis=0)
     keep = sc > 0.0

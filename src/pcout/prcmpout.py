@@ -19,7 +19,9 @@ The pipeline:
      M, c at the chi-square 25th/99th percentile scale
   6. combine: w = (w1 + s)(w2 + s) / (1 + s)^2 with s = 0.25
 
-Every median, MAD and quantile is taken by the one lane kernel in ``robust``.
+Every median, MAD and quantile is taken by the one lane kernel in ``robust``,
+and every row norm by ``robust.row_norms`` but stage 1's in-range weighted ones,
+which reuse the squares its kurtosis step took.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chisq import chi2_quantile
-from .robust import _scaled_row_norms, median, median_mad, quantile, robust_sphere, row_norms
+from .robust import median, median_mad, quantile, robust_sphere, row_norms
 from .spectral import pca_basis, project
 
 
@@ -142,7 +144,7 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
         rel = weight / total
     else:
         rel = np.full(p_star, 1.0 / p_star)  # no kurtosis signal anywhere: weight evenly
-    d = transform_distances(_scaled_row_norms(Zs, rel) if overflowed else np.sqrt(Z2 @ rel), p_star)
+    d = transform_distances(row_norms(Zs, rel) if overflowed else np.sqrt(Z2 @ rel), p_star)
     m_cut = float(quantile(d, cfg.stage1_full_weight_fraction))
     med, mad = median_mad(d)
     c_cut = float(med + cfg.stage1_c_mad_multiplier * mad)

@@ -3,11 +3,11 @@
 
 Every median and quantile in the package is taken here, by one lane kernel
 that sorts a lane of at most 256 values whole and partitions a longer one at
-one kth, and every Euclidean row norm by ``row_norms``, which stays finite for a
-row whose norm does, however near the float range its entries sit. Everything
-here is a pure function of its inputs. Scale estimation uses the median
-absolute deviation multiplied by 1.4826, which makes it consistent for the
-standard deviation at the normal distribution.
+one kth, and every Euclidean row norm by ``row_norms``, which rescales rows by
+powers of two only when a norm falls where a square may overflow or underflow.
+Everything here is a pure function of its inputs. Scale estimation uses the
+median absolute deviation multiplied by 1.4826, which makes it consistent for
+the standard deviation at the normal distribution.
 """
 
 from __future__ import annotations
@@ -124,25 +124,23 @@ def quantile(X, q, axis=None):
 
 
 def _scaled_row_norms(Z, weights=None) -> np.ndarray:
-    """sqrt(sum_j weights_j z_j^2) for each row of Z, all weights 1 by default.
-
-    Each row is first multiplied by the power of two that puts its largest
-    |entry| in [0.5, 1), and its norm by the inverse after the square root, so
-    no square overflows or underflows. The scaling is exact: the norms are the
-    plain computation's wherever that one neither overflows nor underflows.
-    """
+    """``row_norms``, taken on each row multiplied by the power of two that puts its
+    largest |entry| in [0.5, 1), and its norm by the inverse after the square root:
+    no square overflows or underflows, and the scaling is exact."""
     _, exponent = np.frexp(np.abs(Z).max(axis=1))
     Zn = np.ldexp(Z, -exponent[:, None])
     Zn *= Zn
     return np.ldexp(np.sqrt(np.add.reduce(Zn, axis=1) if weights is None else Zn @ weights), exponent)
 
 
-def row_norms(Z) -> np.ndarray:
-    """The Euclidean norm of each row of Z: the plain computation's bits, or,
-    where a square or a sum overflowed, ``_scaled_row_norms``'s."""
+def row_norms(Z, weights=None) -> np.ndarray:
+    """sqrt(sum_j weights_j z_j^2) for each row of Z, all weights 1 by default: the
+    plain computation's bits when every norm lies in [2^-400, inf), where no square
+    that counts has overflowed or lost bits, else ``_scaled_row_norms``'s."""
     with np.errstate(over="ignore"):  # an entry past about 1e154 overflows its square
-        d = np.sqrt(np.add.reduce(Z * Z, axis=1))
-    return _scaled_row_norms(Z) if math.isinf(np.maximum.reduce(d)) else d
+        d = np.sqrt(np.add.reduce(Z * Z, axis=1) if weights is None else (Z * Z) @ weights)
+    in_band = np.minimum.reduce(d) >= 2.0**-400 and np.maximum.reduce(d) < math.inf  # a NaN fails both
+    return d if in_band else _scaled_row_norms(Z, weights)
 
 
 def l1_median(X) -> np.ndarray:
@@ -150,8 +148,9 @@ def l1_median(X) -> np.ndarray:
 
     Iteratively reweighted least squares (Weiszfeld iteration) with the
     standard modified step when the current iterate coincides with a data
-    point. Stops when the step norm falls below ``_L1_TOL`` or after
-    ``_L1_MAX_ITER`` iterations. Orthogonally equivariant up to the convergence tolerance.
+    point, run on X over its largest |entry|: it stops when the step norm falls below
+    ``_L1_TOL`` or after ``_L1_MAX_ITER`` iterations. Orthogonally equivariant up to
+    that tolerance, and bit for bit under a power-of-two scale within the normals.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -164,6 +163,8 @@ def l1_median(X) -> np.ndarray:
     if n == 1:
         return X[0].copy()
 
+    scale = np.maximum.reduce(np.abs(X), axis=None) or 1.0  # tolerances relative to the data
+    X = X / scale
     y = median(X, axis=0)
     for _ in range(_L1_MAX_ITER):
         diff = X - y
@@ -174,7 +175,7 @@ def l1_median(X) -> np.ndarray:
         inv[~coincident] = 1.0 / dist[~coincident]
         wsum = inv.sum()
         if wsum == 0.0:
-            return y  # all points coincide with the iterate
+            break  # all points coincide with the iterate
         t_tilde = (inv @ X) / wsum
         if eta == 0:
             y_new = t_tilde
@@ -182,14 +183,14 @@ def l1_median(X) -> np.ndarray:
             # Vardi-Zhang step: pull back toward the coincident data point
             r = np.linalg.norm(inv @ diff)
             if r == 0.0:
-                return y
+                break
             gamma = min(1.0, eta / r)
             y_new = (1.0 - gamma) * t_tilde + gamma * y
         step = np.linalg.norm(y_new - y)
         y = y_new
         if step < _L1_TOL:
             break
-    return y
+    return y * scale
 
 
 def robust_sphere(X) -> tuple[np.ndarray, frozenset[int]]:

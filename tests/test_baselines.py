@@ -215,6 +215,19 @@ class TestRobustDistances:
         with pytest.raises(ValueError, match="scatter matrix is not finite"):
             robust_distances(np.eye(3), LocationScatter(np.zeros(3), C))
 
+    def test_a_scatter_the_factor_fails_on_is_whitened_by_its_eigenpairs(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(47))
+        A = rng.standard_normal((4, 4))
+        est = LocationScatter(rng.standard_normal(4), A @ A.T + np.eye(4))
+        X = rng.standard_normal((30, 4))
+        expected = _eigen_rule_distances(X, est)
+
+        def no_factor(C):
+            raise np.linalg.LinAlgError("no factor")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+        assert robust_distances(X, est) == pytest.approx(expected, rel=1e-12)
+
     def test_the_sweeps_classical_scatters_need_no_eigendecomposition(self, eigen_calls):
         for p in (10, 20, 30, 40):
             for seed in range(1, 7):
@@ -421,15 +434,13 @@ class TestSign2:
     def test_signs_have_unit_norm_off_center(self):
         rng = np.random.Generator(np.random.Philox(52))
         X = rng.standard_normal((50, 4)) + 3.0
-        S = _unit_rows(X - np.median(X, axis=0))[0]
-        norms = np.linalg.norm(S, axis=1)
-        off = norms > 0
-        assert np.abs(norms[off] - 1.0).max() < 1e-12
+        S = _unit_rows(X - np.median(X, axis=0))
+        assert np.abs(np.linalg.norm(S, axis=1) - 1.0).max() < 1e-12
 
     def test_sign_covariance_of_symmetric_data(self):
         rng = np.random.Generator(np.random.Philox(53))
         X = rng.standard_normal((2000, 6))
-        S = _unit_rows(X - np.median(X, axis=0))[0]
+        S = _unit_rows(X - np.median(X, axis=0))
         C = np.cov(S, rowvar=False)
         assert np.abs(C - np.eye(6) / 6).max() < 0.1
 
@@ -440,8 +451,8 @@ class TestSign2:
         center = np.median(X, axis=0)
         X_far = X.copy()
         X_far[0] = center + 100.0 * (X[0] - center)
-        S1 = _unit_rows(X - center)[0]
-        S2 = _unit_rows(X_far - center)[0]
+        S1 = _unit_rows(X - center)
+        S2 = _unit_rows(X_far - center)
         C1 = np.cov(S1, rowvar=False)
         C2 = np.cov(S2, rowvar=False)
         assert np.abs(C1 - C2).max() < 1e-12
@@ -461,7 +472,21 @@ class TestSign2:
         X = scale * rng.standard_normal((80, 7))
         D = X - np.median(X, axis=0)
         plain = D / np.sqrt((D**2).sum(axis=1))[:, None]
-        assert np.array_equal(_unit_rows(D)[0], plain)
+        assert np.array_equal(_unit_rows(D), plain)
+
+    # 2^-900 and 2^-530 put the rows' squares below or in the subnormals, 2^520
+    # past the float maximum; 2^500 keeps them, and the plain norms, in range
+    @pytest.mark.parametrize("k", [-900, -530, 500, 520])
+    def test_a_power_of_two_scale_moves_no_bit(self, k):
+        rng = np.random.Generator(np.random.Philox(60))
+        X = rng.standard_normal((80, 7))
+        X[:6] += 5.0
+        center = np.median(X, axis=0)
+        assert np.array_equal(_unit_rows((X - center) * 2.0**k), _unit_rows(X - center))
+        base = sign2_detect(X, alpha=0.05)
+        scaled = sign2_detect(X * 2.0**k, alpha=0.05)
+        assert scaled.distances.tobytes() == base.distances.tobytes()
+        assert np.array_equal(scaled.flags, base.flags)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_entries_do_not_overflow(self):

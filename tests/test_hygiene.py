@@ -193,7 +193,7 @@ _EIGEN_ROUTINES = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}
 
 def named(source: str, names) -> list[str]:
     """``function: name`` for each of ``names`` the module names, as an
-    attribute or in an import; ``<module>`` outside functions."""
+    attribute, in an import or by itself; ``<module>`` outside functions."""
     found = []
 
     def visit(node, where):
@@ -201,6 +201,8 @@ def named(source: str, names) -> list[str]:
             where = node.name
         if isinstance(node, ast.Attribute) and node.attr in names:
             found.append(f"{where}: {node.attr}")
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append(f"{where}: {node.id}")
         elif isinstance(node, ast.ImportFrom):
             found.extend(f"{where}: {a.name}" for a in node.names if a.name in names)
         for child in ast.iter_child_nodes(node):
@@ -291,8 +293,9 @@ def power_of_two_scalings(source: str) -> list[str]:
     return named(source, {"frexp", "ldexp"})
 
 
-# robust._scaled_row_norms decides how every row norm stays in the float range;
-# pca_basis scales the whole centered matrix once, before its product
+# robust._scaled_row_norms scales each row, for robust.row_norms, the one row
+# norm every other module calls; pca_basis scales the whole centered matrix
+# once, before its product
 def test_only_the_row_norms_and_pca_basis_scale_by_a_power_of_two():
     found = {str(p.relative_to(ROOT)): power_of_two_scalings(p.read_text(encoding="utf-8")) for p in SRC}
     assert {path: sorted(set(names)) for path, names in found.items() if names} == {
@@ -312,6 +315,30 @@ def test_the_check_sees_every_power_of_two_scaling():
     )
     assert power_of_two_scalings(source) == [
         "<module>: frexp", "unit_rows: frexp", "unit_rows: ldexp", "<module>: ldexp",
+    ]
+
+
+# robust.row_norms decides when a row norm needs the scaled form; no other module asks for it
+def test_only_robust_reads_the_scaled_row_norms():
+    found = {
+        str(p.relative_to(ROOT)): named(p.read_text(encoding="utf-8"), {"_scaled_row_norms"}) for p in SRC
+    }
+    assert {path: names for path, names in found.items() if names} == {
+        "src/pcout/robust.py": ["row_norms: _scaled_row_norms"],
+    }
+
+
+def test_the_check_sees_every_read_of_the_scaled_row_norms():
+    source = (
+        "from pcout.robust import _scaled_row_norms\n"
+        "from pcout import robust\n"
+        "def unit_rows(D):\n"
+        "    return D / _scaled_row_norms(D)[:, None]\n"
+        "norms = robust._scaled_row_norms\n"
+        "def _scaled_row_norms_of(D): return robust.row_norms(D)\n"
+    )
+    assert named(source, {"_scaled_row_norms"}) == [
+        "<module>: _scaled_row_norms", "unit_rows: _scaled_row_norms", "<module>: _scaled_row_norms",
     ]
 
 

@@ -139,6 +139,21 @@ class TestStage1:
         report = detect(X)
         assert int((report.w1 == 1.0).sum()) >= math.ceil(n / 3)
 
+    def test_no_kurtosis_signal_weights_the_columns_evenly(self):
+        # each column's mean z^4 is (16 + 1 + 1) / 6 = 3 exactly: kurtosis 0 everywhere
+        Zs = np.array([[2.0, 0.0], [1.0, 2.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        _, d1, kurt = stage1_location(Zs)
+        assert kurt.tolist() == [0.0, 0.0]
+        _, d2 = stage2_scatter(Zs)
+        assert d1.transformed == pytest.approx(d2.transformed, rel=1e-15)
+
+    def test_flat_distances_give_full_weight_up_to_the_cut(self):
+        # |z| is 1 but for two rows: the 1/3 quantile, the median and so c all sit at 1's distance
+        w1, d1, _ = stage1_location(np.array([[1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 3.0, -4.0]]).T)
+        assert d1.m_cut == d1.c_cut
+        assert np.array_equal(w1, d1.transformed <= d1.m_cut)
+        assert w1.tolist() == [1.0] * 7 + [0.0, 0.0]
+
     def test_four_by_three_by_hand(self):
         """Pins the current reading of the weighted norm, sqrt(sum_j r_j z_j^2).
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from pcout import robust
 from pcout.baselines import sign2_detect
@@ -254,6 +255,36 @@ class TestRowNorms:
         assert d.tobytes() == _scaled_row_norms(Z).tobytes()
         assert d[3] == pytest.approx(math.sqrt(7) * 1e200, rel=1e-15)
 
+    def test_rows_whose_squares_lose_bits_get_the_scaled_norms(self):
+        # at 2^-560 every square falls in the subnormals, where the plain sum drops bits
+        Z = np.random.Generator(np.random.Philox(34)).standard_normal((50, 7)) * 2.0**-560
+        assert row_norms(Z).tobytes() == _scaled_row_norms(Z).tobytes()
+        assert row_norms(Z).tobytes() != np.sqrt((Z**2).sum(axis=1)).tobytes()
+
+    def test_a_zero_row_leaves_every_other_row_its_plain_bits(self):
+        Z = np.random.Generator(np.random.Philox(35)).standard_normal((50, 7))
+        Z[17] = 0.0
+        d = row_norms(Z)
+        assert d[17] == 0.0
+        assert d.tobytes() == np.sqrt((Z**2).sum(axis=1)).tobytes()
+
+    # from 2^-400 to 2^500 the plain computation loses no bit and its bits are
+    # kept; at 2^-560 the squares underflow, at 2^520 they overflow, and the
+    # norms are the scaled ones
+    @pytest.mark.parametrize(
+        "k, plain_exact", [(-400, True), (0, True), (500, True), (-560, False), (520, False)]
+    )
+    def test_weighted_norms_are_the_plain_bits_in_the_band_else_the_scaled_ones(self, k, plain_exact):
+        rng = np.random.Generator(np.random.Philox(36))
+        Z = rng.standard_normal((50, 7)) * 2.0**k
+        w = rng.uniform(size=7)
+        w /= w.sum()
+        with np.errstate(over="ignore"):
+            plain = np.sqrt((Z * Z) @ w)
+        scaled = _scaled_row_norms(Z, w)
+        assert row_norms(Z, w).tobytes() == (plain if plain_exact else scaled).tobytes()
+        assert (plain.tobytes() == scaled.tobytes()) is plain_exact
+
     # a uniform scale that puts the rows' squares in the subnormals (1e-160),
     # below them (1e-200) or past the float maximum (1e160) moves no flag;
     # sign2's spatial signs need the row scaling in both directions there
@@ -304,6 +335,27 @@ class TestL1Median:
     def test_nonfinite_errors(self):
         with pytest.raises(ValueError):
             l1_median(np.array([[0.0, np.nan]]))
+
+    # the tolerances are relative to the data: a power-of-two scale moves no bit
+    @pytest.mark.parametrize("k", [-560, -40, -20, 20, 300])
+    def test_equivariant_bit_for_bit_under_a_power_of_two_scale(self, k):
+        X = np.random.default_rng(5).standard_normal((40, 3))
+        X[:4] += 6.0
+        assert np.array_equal(l1_median(X * 2.0**k) / 2.0**k, l1_median(X))
+
+    def test_identical_rows_return_that_row(self):
+        row = np.random.Generator(np.random.Philox(6)).standard_normal(3)
+        assert l1_median(np.tile(row, (5, 1))) == pytest.approx(row, rel=1e-15)
+
+    def test_a_start_at_a_data_point_that_is_no_median_steps_away(self):
+        # the start (0, 0) is a data point whose pull, the unit vectors to the
+        # others, sums to (2, 2): longer than 1, so the Vardi-Zhang step moves off it
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        reference = minimize(lambda mu: _l1_objective(X, mu), [0.5, 0.5], method="Nelder-Mead",
+                             options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 10000}).x
+        mu = l1_median(X)
+        assert mu == pytest.approx(reference, abs=1e-6)
+        assert _l1_objective(X, mu) <= _l1_objective(X, reference) + 1e-12
 
 
 class TestRobustSphere:
