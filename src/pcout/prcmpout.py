@@ -20,8 +20,8 @@ The pipeline:
   6. combine: w = (w1 + s)(w2 + s) / (1 + s)^2 with s = 0.25
 
 Every median, MAD and quantile is taken by the one lane kernel in ``robust``,
-and every row norm by ``robust.row_norms`` but stage 1's in-range weighted ones,
-which reuse the squares its kurtosis step took.
+and every row norm, stage 1's kurtosis-weighted ones included, by
+``robust.row_norms``.
 """
 
 from __future__ import annotations
@@ -136,15 +136,14 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
         Z2 = Zs * Zs
         kurt = np.abs(np.add.reduce(Z2 * Z2, axis=0) / n - 3.0)
     infinite = np.isinf(kurt)
-    overflowed = infinite.any()  # if not, no z^2 overflowed either
     # infinite kurtoses share the weight evenly: the limit of kurt / total as they grow
-    weight = infinite if overflowed else kurt
+    weight = infinite if infinite.any() else kurt
     total = np.add.reduce(weight)
     if total > 0.0:
         rel = weight / total
     else:
         rel = np.full(p_star, 1.0 / p_star)  # no kurtosis signal anywhere: weight evenly
-    d = transform_distances(row_norms(Zs, rel) if overflowed else np.sqrt(Z2 @ rel), p_star)
+    d = transform_distances(row_norms(Zs, rel), p_star)
     m_cut = float(quantile(d, cfg.stage1_full_weight_fraction))
     med, mad = median_mad(d)
     c_cut = float(med + cfg.stage1_c_mad_multiplier * mad)

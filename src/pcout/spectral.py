@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .robust import row_norms
+
 # relative threshold below which an eigenvalue is treated as numerically zero
 _RANK_TOL = 1e-12
 # relative asymmetry sym_eigen tolerates before it refuses a matrix
@@ -43,7 +45,8 @@ class PcaBasis:
 
 
 def covariance(X) -> np.ndarray:
-    """Sample covariance with denominator n - 1, symmetrized."""
+    """Sample covariance with denominator n - 1, exactly symmetric as computed:
+    numpy forms Xc'Xc, a matrix times its own transpose, as one mirrored triangle."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
@@ -51,8 +54,7 @@ def covariance(X) -> np.ndarray:
     if n < 2:
         raise ValueError("covariance needs at least 2 rows")
     Xc = X - X.mean(axis=0)
-    C = Xc.T @ Xc / (n - 1)
-    return (C + C.T) / 2.0
+    return Xc.T @ Xc / (n - 1)
 
 
 def sym_eigen(C) -> tuple[np.ndarray, np.ndarray]:
@@ -136,12 +138,12 @@ def pca_basis(Xs, variance_threshold: float = 0.99, max_components: int | None =
     w, V = sym_eigen(M)
     w = np.maximum(w, 0.0)  # roundoff negatives, the matrix is a covariance or its Gram twin
     if p > n:
-        # Gram route: the nonzero eigenpairs, mapped back to p-space and renormalized in place
+        # Gram route: the nonzero eigenpairs, mapped back to p-space and scaled in place to unit columns
         nonzero = w > _RANK_TOL * max(float(w[0]), 1.0)
         w = w[nonzero]
         V = Xc.T @ V[:, nonzero]
         del Xc, M
-        V /= np.sqrt(np.add.reduce(V * V, axis=0))
+        V /= row_norms(V.T)
     cap = n - 1 if max_components is None else min(n - 1, max_components)
     k = retain_components(w, variance_threshold, max_components=cap)
     fraction = min(float(np.add.reduce(w[:k])) / total, 1.0)

@@ -342,6 +342,83 @@ def test_the_check_sees_every_read_of_the_scaled_row_norms():
     ]
 
 
+_SUMS = {"sum", "nansum", "fsum"}
+_PRODUCTS = {"dot", "matmul", "inner", "vdot", "einsum"}
+
+
+def _name(node) -> str | None:
+    """``f`` for the expression ``f`` or ``m.f``."""
+    return getattr(node, "attr", None) or getattr(node, "id", None)
+
+
+def _sums_or_multiplies(node) -> bool:
+    """Whether node is an ``add.reduce``, a sum or a matrix product."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, ast.MatMult)
+    if not isinstance(node, ast.Call):
+        return False
+    if _name(node.func) == "reduce":
+        return _name(getattr(node.func, "value", None)) == "add"
+    return _name(node.func) in _SUMS | _PRODUCTS
+
+
+def euclidean_norms(source: str) -> list[str]:
+    """``line N: what`` for each hand-rolled Euclidean norm the module takes: a
+    square root of an expression holding an ``add.reduce``, a sum or a matrix
+    product, and each ``linalg.norm``, imported or read from any ``linalg``."""
+    tree = ast.parse(source)
+    linalg = {"linalg"}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            linalg.update(a.asname for a in node.names if a.asname and a.name.split(".")[-1] == "linalg")
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call) and _name(node.func) == "sqrt"
+            and any(_sums_or_multiplies(n) for a in node.args for n in ast.walk(a))
+        ):
+            found.append((node.lineno, node.col_offset, "sqrt"))
+        elif isinstance(node, ast.Attribute) and node.attr == "norm" and _name(node.value) in linalg:
+            found.append((node.lineno, node.col_offset, "linalg.norm"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg":
+            found.extend(
+                (node.lineno, node.col_offset, "linalg.norm") for a in node.names if a.name == "norm"
+            )
+    return [f"line {line}: {what}" for line, _, what in sorted(found)]
+
+
+# robust.row_norms owns every Euclidean norm outside robust.py: it decides which
+# rows need rescaling
+def test_every_euclidean_norm_in_src_goes_through_row_norms():
+    found = {
+        str(p.relative_to(ROOT)): euclidean_norms(p.read_text(encoding="utf-8"))
+        for p in SRC
+        if p.name != "robust.py"
+    }
+    assert {path: norms for path, norms in found.items() if norms} == {}
+
+
+def test_the_check_sees_every_hand_rolled_norm():
+    source = (
+        "import numpy as np\n"
+        "import numpy.linalg as la\n"
+        "from scipy.linalg import norm, solve\n"
+        "from numpy import linalg as LA\n"
+        "d = np.sqrt(Z2 @ rel)\n"
+        "V /= np.sqrt(np.add.reduce(V * V, axis=0))\n"
+        "math.sqrt(sum(t * t for t in x)); np.sqrt(x.sum(axis=1) / n); sqrt(np.dot(x, x))\n"
+        "np.sqrt(add.reduce(x) if y else x)\n"
+        "np.linalg.norm(x); la.norm(x); LA.norm(x, axis=1); numpy.linalg.norm(x)\n"
+        "np.sqrt(x); math.sqrt(2.0 / n); np.sqrt(x * y); np.add.reduce(x); x @ y\n"
+        "np.sqrt(np.multiply.reduce(x)); np.sqrt(reduce(f, x)); robust.row_norms(x); stats.norm.ppf(0.5)\n"
+    )
+    assert euclidean_norms(source) == [
+        "line 3: linalg.norm", "line 5: sqrt", "line 6: sqrt",
+        "line 7: sqrt", "line 7: sqrt", "line 7: sqrt", "line 8: sqrt",
+        "line 9: linalg.norm", "line 9: linalg.norm", "line 9: linalg.norm", "line 9: linalg.norm",
+    ]
+
+
 def random_draws(source: str) -> list[str]:
     """Each Philox generator, normal draw or default generator the module names (see ``named``)."""
     return named(source, {"Philox", "standard_normal", "default_rng"})

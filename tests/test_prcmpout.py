@@ -154,6 +154,15 @@ class TestStage1:
         assert np.array_equal(w1, d1.transformed <= d1.m_cut)
         assert w1.tolist() == [1.0] * 7 + [0.0, 0.0]
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_weighted_distances_are_the_bits_of_the_plain_norms(self, order):
+        # robust.row_norms takes stage 1's norms; in the band they keep the plain bits
+        X = np.random.Generator(np.random.Philox(22)).standard_normal((100, 40))
+        Zs = np.asarray(_sphered_scores(X), order=order)
+        _, dset, kurt = stage1_location(Zs)
+        rel = kurt / np.add.reduce(kurt)
+        assert dset.transformed.tobytes() == transform_distances(np.sqrt((Zs * Zs) @ rel), 40).tobytes()
+
     def test_four_by_three_by_hand(self):
         """Pins the current reading of the weighted norm, sqrt(sum_j r_j z_j^2).
 

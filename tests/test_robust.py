@@ -268,6 +268,53 @@ class TestRowNorms:
         assert d[17] == 0.0
         assert d.tobytes() == np.sqrt((Z**2).sum(axis=1)).tobytes()
 
+    @staticmethod
+    def _out_of_band(order):
+        """A draw with a zero row, rows at 2^-600, whose squares underflow, and a row
+        at 2^560, whose squares overflow, laid out in ``order``; and those rows."""
+        Z = np.random.Generator(np.random.Philox(37)).standard_normal((60, 40))
+        rows = [4, 11, 23, 40]
+        Z[4] = 0.0
+        Z[[11, 40]] *= 2.0**-600
+        Z[23] *= 2.0**560
+        return np.asarray(Z, order=order), rows
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_only_the_rows_outside_the_band_are_rescaled(self, order, monkeypatch):
+        Z, rows = self._out_of_band(order)
+        seen = []
+
+        def spy(rows_in, weights=None):
+            seen.append((rows_in.tolist(), rows_in.flags.f_contiguous, weights is None))
+            return scaled(rows_in, weights)
+
+        scaled = robust._scaled_row_norms
+        monkeypatch.setattr(robust, "_scaled_row_norms", spy)
+        w = np.full(40, 1.0 / 40.0)
+        for weights in (None, w):
+            d = row_norms(Z, weights)
+            assert d[4] == 0.0 and 2.0**-610 < d[11] < 2.0**-590 and 2.0**550 < d[23] < 2.0**570
+        assert seen == [(Z[rows].tolist(), order == "F", True), (Z[rows].tolist(), order == "F", False)]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_unweighted_norms_are_the_scaled_bits_of_every_row(self, order):
+        Z, _ = self._out_of_band(order)
+        assert row_norms(Z).tobytes() == _scaled_row_norms(Z).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rows_inside_the_band_keep_the_plain_bits_beside_rescaled_ones(self, order):
+        Z, rows = self._out_of_band(order)
+        w = np.random.Generator(np.random.Philox(38)).uniform(size=40)
+        w /= w.sum()
+        inside = np.ones(60, dtype=bool)
+        inside[rows] = False
+        with np.errstate(over="ignore"):
+            plain = np.sqrt((Z * Z) @ w)
+        d = row_norms(Z, w)
+        assert d[inside].tobytes() == plain[inside].tobytes()
+        # a subset's gemv may group the products differently: the last bits can move
+        assert d[rows] == pytest.approx(_scaled_row_norms(Z, w)[rows], rel=1e-15)
+
     # from 2^-400 to 2^500 the plain computation loses no bit and its bits are
     # kept; at 2^-560 the squares underflow, at 2^520 they overflow, and the
     # norms are the scaled ones

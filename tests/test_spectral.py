@@ -34,6 +34,20 @@ class TestCovariance:
                 ) / 19
                 assert C[j, k] == pytest.approx(brute, abs=1e-12)
 
+    # column scales from 1e-100 to 1e100, p from 1 to past n
+    @pytest.mark.parametrize("shape", [(3, 1), (5, 2), (20, 3), (100, 40), (60, 200), (10000, 100)])
+    def test_is_exactly_symmetric_with_the_symmetrized_bytes(self, shape):
+        rng = np.random.Generator(np.random.Philox(11))
+        X = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 101, shape[1])
+        C = covariance(X)
+        assert C.tobytes() == np.ascontiguousarray(C.T).tobytes()
+        assert C.tobytes() == ((C + C.T) / 2.0).tobytes()
+
+    def test_a_variance_past_half_the_float_maximum_stays_finite(self):
+        # 2 * (8e153)^2 = 1.28e308 is finite; C + C.T would overflow
+        C = covariance(np.array([[8e153], [-8e153]]))
+        assert C[0, 0] == pytest.approx(1.28e308, rel=1e-15)
+
     def test_single_row_errors(self):
         with pytest.raises(ValueError):
             covariance(np.ones((1, 3)))
