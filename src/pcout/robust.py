@@ -3,8 +3,9 @@
 
 Every median and quantile in the package is taken here, by one lane kernel
 that sorts a lane of at most 256 values whole and partitions a longer one at
-one kth, and every Euclidean norm outside this module by ``row_norms``: rows are
-rescaled one by one by powers of two, where a square may overflow or underflow.
+one kth, and every Euclidean norm outside this module by ``row_norms``, which
+rescales rows by powers of two only when a norm falls where a square may overflow
+or underflow.
 Everything here is a pure function of its inputs. Scale estimation uses the
 median absolute deviation multiplied by 1.4826, which makes it consistent for
 the standard deviation at the normal distribution.
@@ -135,15 +136,14 @@ def _scaled_row_norms(Z, weights=None) -> np.ndarray:
 
 def row_norms(Z, weights=None) -> np.ndarray:
     """sqrt(sum_j weights_j z_j^2) for each row of Z, all weights 1 by default: the
-    plain computation's bits for a norm in [2^-400, inf), where no square that counts
-    has overflowed or lost bits; rows outside are rescaled one by one, by _scaled_row_norms."""
+    plain computation's bits when every norm lies in [2^-400, inf), where no square
+    that counts has overflowed or lost bits, else ``_scaled_row_norms``'s. Z may have no rows."""
     with np.errstate(over="ignore"):  # an entry past about 1e154 overflows its square
         d = np.sqrt(np.add.reduce(Z * Z, axis=1) if weights is None else (Z * Z) @ weights)
-    if not (np.minimum.reduce(d) >= 2.0**-400 and np.maximum.reduce(d) < math.inf):  # a NaN fails both
-        out = ~((d >= 2.0**-400) & (d < math.inf))
-        rows = np.empty_like(Z, shape=(np.count_nonzero(out), Z.shape[1]))  # Z's order: the sums round by it
-        d[out] = _scaled_row_norms(np.compress(out, Z, axis=0, out=rows), weights)
-    return d
+    in_band = (  # a NaN fails both
+        np.minimum.reduce(d, initial=math.inf) >= 2.0**-400 and np.maximum.reduce(d, initial=0.0) < math.inf
+    )
+    return d if in_band else _scaled_row_norms(Z, weights)
 
 
 def l1_median(X) -> np.ndarray:

@@ -197,6 +197,13 @@ class TestPcaBasis:
         assert basis.variance_fraction <= 1.0
         assert np.all(np.diff(basis.eigenvalues) <= 1e-12)
 
+    def test_a_wide_spectrum_below_the_rank_floor_is_all_zero(self):
+        # on the Gram route every eigenvalue, about 5e-15, falls below the floor, so
+        # no column is left to scale to unit length
+        X = np.random.Generator(np.random.Philox(12)).standard_normal((5, 200)) * 1e-8
+        with pytest.raises(ValueError, match="all-zero spectrum"):
+            pca_basis(X)
+
     def test_variance_accounting(self):
         rng = np.random.Generator(np.random.Philox(18))
         X = rng.standard_normal((50, 6))
