@@ -13,8 +13,10 @@ on the route.
 Every output leaves through here: detection reports, sweep and timing
 documents (built by ``evalsim``) and figure data (built by ``plot_document``
 from a loaded JSON report or sweep). A document is a header plus its records
-as whole columns (``Columns``), never one dict per row, and each format has
-one writer that streams it one block of rows at a time.
+as a dict of whole columns of one length, never one dict per row, and each
+format has one writer that streams it one block of rows at a time. The
+writers tell a column's kind from its first cell: text, a list (a sweep
+row's failures) or a number, bool or None.
 ``document_json_chunks`` writes exactly what ``json.dumps(indent=2)`` writes
 for the row-per-record form, each block's number columns through the C
 encoder; ``document_csv_chunks`` writes a line of field names and then one
@@ -312,34 +314,16 @@ _BLOCK_ROWS = 1024
 _encode_flat = json.JSONEncoder().encode
 
 
-@dataclass(frozen=True)
-class Columns:
-    """The records of a document as whole columns of one length.
+def _rows(records: dict) -> int:
+    """The number of records in a dict of columns of one length."""
+    return len(next(iter(records.values()), ()))
 
-    ``cells`` maps each record field, in record order, to its column: a NumPy
-    array, or a sequence of numbers, bools and None. The fields named in
-    ``text`` hold strings instead, and those in ``lists`` hold lists of
-    strings, which only the JSON form carries. Columns of unequal length
-    raise ValueError, so a bad document fails before any byte is written.
-    """
 
-    cells: dict
-    text: tuple[str, ...] = ()
-    lists: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        lengths = {name: len(column) for name, column in self.cells.items()}
-        if len(set(lengths.values())) > 1:
-            raise ValueError(f"columns differ in length: {lengths}")
-
-    def __len__(self) -> int:
-        return len(next(iter(self.cells.values()), ()))
-
-    def blocks(self, names):
-        """The cells of the columns ``names`` as Python objects, block by block of rows."""
-        for start in range(0, len(self), _BLOCK_ROWS):
-            block = [self.cells[name][start:start + _BLOCK_ROWS] for name in names]
-            yield [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+def _blocks(records: dict, names):
+    """The cells of the columns ``names`` as Python objects, block by block of rows."""
+    for start in range(0, _rows(records), _BLOCK_ROWS):
+        block = [records[name][start:start + _BLOCK_ROWS] for name in names]
+        yield [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
 
 
 def _report(dm: DataMatrix, method: str, header: dict, **columns) -> dict:
@@ -348,13 +332,14 @@ def _report(dm: DataMatrix, method: str, header: dict, **columns) -> dict:
     its value in each column, in keyword order.
 
     Columns are whole arrays; one whose length differs from the row ids'
-    raises ValueError.
+    raises ValueError, so a bad report fails before any byte is written.
     """
+    records = {"row_id": dm.row_ids, **columns}
+    lengths = {name: len(column) for name, column in records.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
     n, p = dm.values.shape
-    return {
-        "header": {"method": method, "n": n, "p": p, **header},
-        "records": Columns({"row_id": dm.row_ids, **columns}, text=("row_id",)),
-    }
+    return {"header": {"method": method, "n": n, "p": p, **header}, "records": records}
 
 
 def weight_report_document(dm: DataMatrix, report, config: dict) -> dict:
@@ -397,12 +382,12 @@ def detection_result_document(dm: DataMatrix, result, config: dict) -> dict:
     )
 
 
-def _json_cells(table: Columns, name: str, cells: list) -> list[str]:
-    """Each cell of one column's block as ``json.dumps(doc, indent=2)`` writes
-    it inside a record."""
-    if name in table.text:  # a string may hold ", "
+def _json_cells(cells: list) -> list[str]:
+    """Each cell of one column's block, of the kind of its first cell, as
+    ``json.dumps(doc, indent=2)`` writes it inside a record."""
+    if isinstance(cells[0], str):  # a string may hold ", "
         return list(map(json.encoder.encode_basestring_ascii, cells))
-    if name in table.lists:
+    if isinstance(cells[0], (list, tuple)):
         return [json.dumps(cell, indent=2).replace("\n", "\n      ") for cell in cells]
     return _encode_flat(cells)[1:-1].split(", ")
 
@@ -412,22 +397,21 @@ def document_json_chunks(doc: dict):
     row-per-record form, ending in a newline, piece by piece: the command line
     streams it, so the text is never all held.
 
-    A document's last entry is its ``Columns``; the entries before it go
-    through ``json.dumps`` as they are, and the records leave one block of
-    rows per piece.
+    A document's last entry is its records, a dict of columns of one length;
+    the entries before it go through ``json.dumps`` as they are, and the
+    records leave one block of rows per piece.
     """
-    *head, (key, table) = doc.items()
+    *head, (key, records) = doc.items()
     yield json.dumps({**dict(head), key: []}, indent=2).removesuffix("[]\n}")
-    if not len(table):
+    if not _rows(records):
         yield "[]"
     else:
-        names = list(table.cells)
         fields = ",".join(
-            "\n      " + json.encoder.encode_basestring_ascii(name) + ": %s" for name in names
+            "\n      " + json.encoder.encode_basestring_ascii(name) + ": %s" for name in records
         )
         template, opening = "\n    {" + fields + "\n    }", "["
-        for block in table.blocks(names):
-            cells = [_json_cells(table, name, column) for name, column in zip(names, block)]
+        for block in _blocks(records, list(records)):
+            cells = [_json_cells(column) for column in block]
             yield opening + ",".join(map(template.__mod__, zip(*cells)))
             opening = ","
         yield "\n  ]"
@@ -452,16 +436,19 @@ def document_csv_chunks(doc: dict):
     """The CSV text of ``doc``, piece by piece: the line of field names, then
     one line per record, one block of rows per piece.
 
-    A document's last entry is its ``Columns``. The header metadata, the spec
-    and list-valued fields (a sweep row's failures) live in the JSON form
-    only; a document without fields has no CSV text.
+    A document's last entry is its records, a dict of columns of one length.
+    The header metadata, the spec and list-valued columns (a sweep row's
+    failures), told by their first cell, live in the JSON form only; a
+    document without fields has no CSV text. A list column without rows,
+    which would have no first cell, does not occur: sweep and timing
+    documents without rows have no fields.
     """
-    *_, table = doc.values()
-    names = [name for name in table.cells if name not in table.lists]
+    *_, records = doc.values()
+    names = [name for name, cells in records.items() if not isinstance(next(iter(cells), None), (list, tuple))]
     if not names:
         return
     yield _csv_lines([names])
-    for block in table.blocks(names):
+    for block in _blocks(records, names):
         yield _csv_lines([_csv_cell(value) for value in row] for row in zip(*block))
 
 
@@ -530,5 +517,4 @@ def plot_document(doc) -> dict:
         ]
         points.append(("distance", 0, doc["header"]["cutoff"], "boundary"))
     panel, x, y, flag = zip(*points) if points else ((), (), (), ())
-    cells = {"panel": panel, "x": x, "y": [float(value) for value in y], "flag": flag}
-    return {"points": Columns(cells, text=("panel", "flag"))}
+    return {"points": {"panel": panel, "x": x, "y": [float(value) for value in y], "flag": flag}}

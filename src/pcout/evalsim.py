@@ -14,8 +14,8 @@ ascending order, takes its prefix and contaminates a copy; the largest runs
 last and contaminates the draw itself in place.
 
 Results come back as data: ``document`` puts a sweep's or a timing run's rows,
-as columns, next to the spec that generated them, and ``dataio`` writes that
-document as JSON or CSV.
+as a plain dict of columns, next to the spec that generated them; the command
+line writes that document as JSON or CSV.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import Columns
 from .robust import median
 
 DetectorFn = Callable[[np.ndarray], np.ndarray]
@@ -238,6 +237,4 @@ def document(spec: SimSpec, rows: Sequence[SweepRow] | Sequence[TimingRow]) -> d
     """A sweep's or a timing run's rows, as columns, beside the spec that
     generated them."""
     names = [f.name for f in fields(rows[0])] if rows else []
-    columns = {name: [getattr(row, name) for row in rows] for name in names}
-    table = Columns(columns, text=("detector",), lists=("failures",))
-    return {"spec": spec.to_dict(), "rows": table}
+    return {"spec": spec.to_dict(), "rows": {name: [getattr(row, name) for row in rows] for name in names}}

@@ -133,8 +133,10 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
     Zs = np.asarray(Zs, dtype=float)
     n, p_star = Zs.shape
     with np.errstate(over="ignore"):  # a score past about 1e77 overflows z^4
-        Z2 = Zs * Zs
-        kurt = np.abs(np.add.reduce(Z2 * Z2, axis=0) / n - 3.0)
+        Z4 = Zs * Zs
+        Z4 *= Z4
+        kurt = np.abs(np.add.reduce(Z4, axis=0) / n - 3.0)
+    del Z4  # row_norms takes its own squares: one n x p temporary at a time
     infinite = np.isinf(kurt)
     # infinite kurtoses share the weight evenly: the limit of kurt / total as they grow
     weight = infinite if infinite.any() else kurt

@@ -443,8 +443,8 @@ class TestLoadCsv:
 def _row_dicts(doc: dict) -> dict:
     """``doc`` with its columns as one dict per row: the form the writers render."""
     *head, (key, table) = doc.items()
-    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in table.cells.values()]
-    return {**dict(head), key: [dict(zip(table.cells, row)) for row in zip(*columns)]}
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in table.values()]
+    return {**dict(head), key: [dict(zip(table, row)) for row in zip(*columns)]}
 
 
 def _cell(value) -> str:
@@ -593,6 +593,19 @@ class TestReportDocuments:
         doc = document(SimSpec(n=10, p=2), [])
         assert document_to_json(doc) == json.dumps({**doc, "rows": []}, indent=2) + "\n"
         assert "".join(document_csv_chunks(doc)) == ""
+
+    def test_the_writers_tell_each_column_kind_from_its_cells(self):
+        # a plain dict of columns, built by hand: no builder says which is text or a list
+        records = {
+            "who": ("a, b", ", ", "\n", "caf\u00e9 \u96ea"),
+            "why": [("x",), (), ("y, z", "\n"), ()],
+            "how": np.array([0.1, -0.0, 1e300, 5e-324]),
+        }
+        doc = {"header": {"method": "by hand"}, "records": records}
+        rows = _row_dicts(doc)
+        assert document_to_json(doc) == json.dumps(rows, indent=2) + "\n"
+        expected = _csv_table(["who", "how"], ([rec["who"], rec["how"]] for rec in rows["records"]))
+        assert "".join(document_csv_chunks(doc)) == expected
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_no_chunk_holds_more_than_one_block_of_records(self, fmt):

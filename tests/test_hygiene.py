@@ -288,6 +288,49 @@ def test_the_check_sees_every_fork():
     assert forks(source) == ["<module>: fork", "spawn: fork"]
 
 
+def dataio_imports(source: str) -> list[str]:
+    """``line N: module`` for each import that loads a module named ``dataio``,
+    relative or absolute: ``import a.dataio``, ``from a.dataio import x`` or
+    ``from a import dataio``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            prefix = base if base.endswith(".") else base + "."
+            modules = [base, *(prefix + alias.name for alias in node.names)]
+        else:
+            continue
+        found.extend(f"line {node.lineno}: {m}" for m in modules if m.split(".")[-1] == "dataio")
+    return found
+
+
+# the command line reads the input and writes every document; the other
+# modules hand it plain data, so none of them depends on the writers
+def test_only_the_cli_imports_dataio():
+    found = {str(p.relative_to(ROOT)): dataio_imports(p.read_text(encoding="utf-8")) for p in SRC}
+    assert [path for path, lines in found.items() if lines] == ["src/pcout/cli.py"]
+
+
+def test_the_check_sees_every_dataio_import():
+    source = (
+        "from .dataio import Columns\n"
+        "from . import dataio, robust\n"
+        "import pcout.dataio\n"
+        "from pcout import dataio as io_\n"
+        "def late():\n"
+        "    from pcout.dataio import load_csv\n"
+        "from .robust import median\n"
+        "import dataclasses, dataio_extra\n"
+        "from pcout.cli import dataio_of\n"
+    )
+    assert dataio_imports(source) == [
+        "line 1: .dataio", "line 2: .dataio", "line 3: pcout.dataio", "line 4: pcout.dataio",
+        "line 6: pcout.dataio",
+    ]
+
+
 def power_of_two_scalings(source: str) -> list[str]:
     """Each ``frexp`` or ``ldexp`` the module names (see ``named``)."""
     return named(source, {"frexp", "ldexp"})

@@ -516,6 +516,11 @@ class TestInPlaceArithmetic:
         small_square = 8 * min(shape) ** 2  # the n x n Gram or p x p covariance matrix
         assert traced_peak(detect, X) <= 4 * X.nbytes + small_square
 
+    def test_stage1_holds_one_temporary_the_size_of_its_scores(self, traced_peak):
+        # the kurtoses' fourth powers are freed before row_norms squares the scores
+        Zs = _sphered_scores(_planted((4000, 50), 51))
+        assert traced_peak(stage1_location, Zs) <= 1.25 * Zs.nbytes
+
 
 class TestDetectorConfig:
     def test_defaults_follow_the_published_method(self):
