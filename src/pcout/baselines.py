@@ -178,8 +178,6 @@ def _ogk_scores(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     columns are also laid out as rows (lanes), from which ``_ogk_pairwise``
     builds its sums and differences block by block."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
     p = X.shape[1]
     _, d = median_mad(X, axis=0)
     if np.any(d == 0.0):
@@ -217,12 +215,11 @@ def ogk_reweight(X, est: LocationScatter, beta: float = OGK_BETA) -> LocationSca
     """Hard-rejection refinement of an OGK estimate.
 
     Squared robust distances are compared against
-    d0^2 = chi2(beta, p) * med(d^2) / chi2(0.5, p); rows at or beyond d0 are
-    discarded and the plain mean and covariance of the remainder returned.
+    d0^2 = chi2(beta, p) * med(d^2) / chi2(0.5, p), for beta in (0, 1); rows
+    at or beyond d0 are discarded and the plain mean and covariance of the
+    remainder returned.
     """
     X = np.asarray(X, dtype=float)
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
     n, p = X.shape
     with np.errstate(over="ignore"):  # a distance past about 1e154 squares to inf, rejected
         d2 = robust_distances(X, est) ** 2

@@ -80,12 +80,15 @@ class WeightReport:
 
 def checked_matrix(X) -> np.ndarray:
     """The input gate of every detector: X as a float matrix with at least
-    3 rows and only finite values, or a ValueError naming what is wrong."""
+    3 rows, at least 1 column and only finite values, or a ValueError naming
+    what is wrong."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
     if X.shape[0] < 3:
         raise ValueError(f"need at least 3 rows, got {X.shape[0]}")
+    if X.shape[1] < 1:
+        raise ValueError(f"need at least 1 column, got {X.shape[1]}")
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite values in data matrix")
     return X
@@ -111,10 +114,6 @@ def translated_biweight(d, M: float, c: float):
     w(d) = (1 - ((d - M)/(c - M))^2)^2 on M < d < c. Returns an array shaped
     like d; requires c > M >= 0.
     """
-    if not c > M:
-        raise ValueError(f"biweight needs c > M, got M={M}, c={c}")
-    if M < 0.0:
-        raise ValueError(f"biweight needs M >= 0, got M={M}")
     d = np.asarray(d, dtype=float)
     return (1.0 - np.clip((d - M) / (c - M), 0.0, 1.0) ** 2) ** 2
 
@@ -172,13 +171,10 @@ def stage2_scatter(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarr
 
 
 def combine_weights(w1, w2, s: float) -> np.ndarray:
-    """Multiplicative combination (w1 + s)(w2 + s) / (1 + s)^2."""
+    """Multiplicative combination (w1 + s)(w2 + s) / (1 + s)^2 of two weight
+    vectors of one length, for s >= 0."""
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
-    if w1.shape != w2.shape:
-        raise ValueError(f"weight vectors differ in length: {w1.shape} vs {w2.shape}")
-    if s < 0.0:
-        raise ValueError(f"scale constant must be nonnegative, got {s}")
     return (w1 + s) * (w2 + s) / (1.0 + s) ** 2
 
 

@@ -197,17 +197,13 @@ def l1_median(X) -> np.ndarray:
 
 
 def robust_sphere(X) -> tuple[np.ndarray, frozenset[int]]:
-    """Standardize each column to median 0 and MAD 1; drop MAD-zero columns.
+    """Standardize each column of X, an n x p matrix the caller gives at least
+    2 rows, to median 0 and MAD 1; drop MAD-zero columns.
 
     Returns the transformed matrix restricted to the retained columns and the
-    indices of the dropped columns. Raises if fewer than two rows are given or
-    every column has zero MAD.
+    indices of the dropped columns. Raises if every column has zero MAD.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
-    if X.shape[0] < 2:
-        raise ValueError("sphering needs at least 2 rows")
     medians, mads = median_mad(X, axis=0)
     keep = mads > 0.0
     dropped = frozenset(np.flatnonzero(~keep).tolist())

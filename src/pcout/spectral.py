@@ -20,8 +20,6 @@ from .robust import row_norms
 
 # relative threshold below which an eigenvalue is treated as numerically zero
 _RANK_TOL = 1e-12
-# relative asymmetry sym_eigen tolerates before it refuses a matrix
-_SYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,50 +43,36 @@ class PcaBasis:
 
 
 def covariance(X) -> np.ndarray:
-    """Sample covariance with denominator n - 1, exactly symmetric as computed:
-    numpy forms Xc'Xc, a matrix times its own transpose, as one mirrored triangle."""
+    """Sample covariance with denominator n - 1 of a matrix the caller gives at
+    least 2 rows, exactly symmetric as computed: numpy forms Xc'Xc, a matrix
+    times its own transpose, as one mirrored triangle."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
     n = X.shape[0]
-    if n < 2:
-        raise ValueError("covariance needs at least 2 rows")
     Xc = X - X.mean(axis=0)
     return Xc.T @ Xc / (n - 1)
 
 
 def sym_eigen(C) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (nonincreasing) and orthonormal eigenvectors of symmetric C.
+    """Eigenvalues (nonincreasing) and orthonormal eigenvectors of C, a square
+    matrix the caller builds exactly symmetric.
 
-    Works for any symmetric matrix, indefinite ones included; clamping of
-    roundoff-negative eigenvalues happens where a covariance is expected
-    (see pca_basis). Raises if C is asymmetric beyond _SYMMETRY_TOL relative
-    to its magnitude. Each eigenvector keeps the sign np.linalg.eigh gives it;
-    callers in the package are invariant to those signs.
+    np.linalg.eigh reads C's lower triangle only, as the Cholesky factor of
+    baselines.robust_distances does. Works for any symmetric matrix, indefinite
+    ones included; clamping of roundoff-negative eigenvalues happens where a
+    covariance is expected (see pca_basis). Each eigenvector keeps the sign
+    eigh gives it; callers in the package are invariant to those signs.
     """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {C.shape}")
-    B = np.subtract(C, C.T)  # one owned buffer: the asymmetry, then the symmetrized C
-    scale = max(1.0, float(np.maximum.reduce(C, None)), -float(np.minimum.reduce(C, None)))
-    if float(np.maximum.reduce(np.abs(B, out=B), None)) > _SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    np.add(C, C.T, out=B)
-    B /= 2.0
-    w, V = np.linalg.eigh(B)
-    del B
+    w, V = np.linalg.eigh(C)
     order = w.argsort()[::-1]
     return w[order], V[:, order]
 
 
 def retain_components(eigenvalues, threshold: float, max_components: int | None = None) -> int:
-    """Smallest k whose leading eigenvalues cover `threshold` of the total.
+    """Smallest k whose leading eigenvalues cover `threshold`, in (0, 1], of the total.
 
     Optionally capped at `max_components` (the n - 1 cap that guarantees a
     nonsingular score space).
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"variance threshold must be in (0, 1], got {threshold}")
     ev = np.asarray(eigenvalues, dtype=float)
     if ev.size == 0 or not np.add.reduce(ev) > 0.0:
         raise ValueError("all-zero spectrum; nothing to retain")
@@ -101,18 +85,13 @@ def retain_components(eigenvalues, threshold: float, max_components: int | None 
 
 
 def project(Xs, basis: PcaBasis) -> np.ndarray:
-    """Scores of Xs in the basis: the matrix product Xs @ eigenvectors."""
-    Xs = np.asarray(Xs, dtype=float)
-    if Xs.ndim != 2 or Xs.shape[1] != basis.eigenvectors.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: data has {Xs.shape[1] if Xs.ndim == 2 else '?'} columns, "
-            f"basis expects {basis.eigenvectors.shape[0]}"
-        )
-    return Xs @ basis.eigenvectors
+    """Scores of Xs in the basis: the matrix product Xs @ eigenvectors, for a basis
+    built from the columns of Xs."""
+    return np.asarray(Xs, dtype=float) @ basis.eigenvectors
 
 
 def pca_basis(Xs, variance_threshold: float = 0.99, max_components: int | None = None) -> PcaBasis:
-    """Principal-component basis of the covariance of Xs.
+    """Principal-component basis of the covariance of the n x p matrix Xs.
 
     Decomposes the smaller matrix: the n x n Gram matrix Xc Xc'/(n - 1) when
     p > n, otherwise the p x p covariance Xc'Xc/(n - 1). Retention keeps the
@@ -120,8 +99,6 @@ def pca_basis(Xs, variance_threshold: float = 0.99, max_components: int | None =
     capped at n - 1 (and at `max_components` when given).
     """
     Xs = np.asarray(Xs, dtype=float)
-    if Xs.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {Xs.shape}")
     n, p = Xs.shape
     Xc = Xs - np.add.reduce(Xs, axis=0) / n
     # M's trace sums n * p squares: past the float range, decompose M / 4**e,
@@ -132,6 +109,8 @@ def pca_basis(Xs, variance_threshold: float = 0.99, max_components: int | None =
     if e:
         np.ldexp(Xc, -e, out=Xc)
     M = (Xc @ Xc.T if p > n else Xc.T @ Xc) / (n - 1)
+    if p <= n:
+        del Xc  # only the Gram route maps eigenvectors back through Xc: free it before eigh
     total = float(M.trace())
     if total <= 0.0:
         raise ValueError("zero total variance; nothing to decompose")

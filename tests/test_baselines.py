@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pcout import baselines, robust
+from pcout import baselines, robust, spectral
 from pcout.baselines import (
     LocationScatter,
     _ogk_pairwise,
@@ -21,6 +21,7 @@ from pcout.evalsim import REFERENCE_OUTLIER_ROWS, SimSpec, generate_contaminated
 from pcout.prcmpout import detect
 from pcout.robust import MAD_SCALE, _lane_median_mad, median_mad
 from pcout.spectral import sym_eigen
+from test_detect_corpus import EXPECTED as CORPUS, _corpus_input
 
 
 def _per_column_pairwise(X):
@@ -58,15 +59,34 @@ def _outcome(run, *args):
 
 @pytest.fixture
 def eigen_calls(monkeypatch):
-    """The scatters robust_distances eigendecomposes, in call order."""
+    """The matrices the package eigendecomposes, from spectral's pca_basis or
+    from the baselines (robust_distances' scatters among them), in call order."""
     calls = []
 
     def counted(C):
         calls.append(C)
         return sym_eigen(C)
 
+    monkeypatch.setattr(spectral, "sym_eigen", counted)
     monkeypatch.setattr(baselines, "sym_eigen", counted)
     return calls
+
+
+def asymmetric(matrices) -> list[int]:
+    """The index of each matrix that differs from its transpose in any bit."""
+    return [i for i, C in enumerate(matrices) if not np.array_equal(C, C.T)]
+
+
+_EVERY_DETECTOR = pytest.mark.parametrize(
+    "run",
+    [
+        lambda X: detect(X),
+        lambda X: classical_detect(X, 0.05),
+        lambda X: ogk_detect(X, 0.05),
+        lambda X: sign2_detect(X, 0.05),
+    ],
+    ids=["prcmpout", "classical", "ogk", "sign2"],
+)
 
 
 def _with_cell(value):
@@ -78,16 +98,7 @@ def _with_cell(value):
 class TestInputGate:
     """Every detector checks its input the same way, before anything else."""
 
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda X: detect(X),
-            lambda X: classical_detect(X, 0.05),
-            lambda X: ogk_detect(X, 0.05),
-            lambda X: sign2_detect(X, 0.05),
-        ],
-        ids=["prcmpout", "classical", "ogk", "sign2"],
-    )
+    @_EVERY_DETECTOR
     @pytest.mark.parametrize(
         "X, message",
         [
@@ -95,8 +106,9 @@ class TestInputGate:
             (_with_cell(np.nan), "non-finite values in data matrix"),
             (_with_cell(np.inf), "non-finite values in data matrix"),
             (np.array([[0.0, 1.0], [2.0, 5.0]]), "need at least 3 rows, got 2"),
+            (np.empty((5, 0)), "need at least 1 column, got 0"),
         ],
-        ids=["1-D", "nan", "inf", "2-rows"],
+        ids=["1-D", "nan", "inf", "2-rows", "0-columns"],
     )
     def test_bad_input_is_named(self, run, X, message):
         with pytest.raises(ValueError, match=message):
@@ -108,6 +120,31 @@ class TestInputGate:
         # 1 - 1e-17 rounds to 1: the chi-square cutoff would be infinite
         with pytest.raises(ValueError, match=r"^alpha "):
             detector(_with_cell(0.0), alpha)
+
+
+class TestSymEigenInputs:
+    """sym_eigen decomposes the lower triangle of what it is handed, so every
+    caller must build its matrix exactly symmetric."""
+
+    @_EVERY_DETECTOR
+    def test_every_matrix_a_detector_decomposes_is_exactly_symmetric(self, run, eigen_calls):
+        inputs = [_corpus_input(name) for name in sorted(CORPUS)] + [
+            generate_contaminated(SimSpec(100, p, REFERENCE_OUTLIER_ROWS, location_shift=1.5, seed=seed))[0]
+            for p in (10, 20, 30, 40)
+            for seed in (1, 2, 3)
+        ]
+        for X in inputs:
+            _outcome(run, X)
+        assert eigen_calls  # classical decomposes only the singular scatter of the zero-MAD corpus input
+        assert asymmetric(eigen_calls) == []
+
+    def test_the_check_sees_an_asymmetric_matrix(self, eigen_calls):
+        C = np.array([[2.0, 1.0], [1.0, 3.0]])
+        off_by_one_ulp = C.copy()
+        off_by_one_ulp[0, 1] = np.nextafter(1.0, 2.0)
+        spectral.sym_eigen(C)
+        baselines.sym_eigen(off_by_one_ulp)
+        assert asymmetric(eigen_calls) == [1]
 
 
 class TestRobustDistances:
@@ -337,8 +374,8 @@ class TestOgkPairwiseCov:
     def test_peak_is_no_more_than_a_row_at_a_time(self, shape, traced_peak):
         # What building the matrix one row of the triangle at a time holds: Y and
         # its lanes copy Yt, one (p - 1) x n array of sums or of differences, and
-        # the p x p terms (U, and the symmetrized copy and eigenvectors in
-        # sym_eigen). At 200 x 1200 the p x p terms set the peak; at 3000 x 100
+        # the p x p terms (U, and eigh's eigenvectors and their reordered copy
+        # in sym_eigen). At 200 x 1200 the p x p terms set the peak; at 3000 x 100
         # the lanes do, and holding a whole row's sums and differences at once
         # (another (p - 1) x n) would exceed the bound.
         n, p = shape

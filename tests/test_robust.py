@@ -427,10 +427,6 @@ class TestRobustSphere:
         mads = MAD_SCALE * np.median(np.abs(Xs - np.median(Xs, axis=0)), axis=0)
         assert np.abs(mads - 1.0).max() < 1e-12
 
-    def test_one_row_errors(self):
-        with pytest.raises(ValueError):
-            robust_sphere(np.array([[1.0, 2.0]]))
-
 
 class TestInPlaceArithmetic:
     """median_mad and robust_sphere compute in temporaries they own."""
