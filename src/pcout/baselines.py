@@ -175,23 +175,22 @@ def _ogk_pairwise(Yt) -> np.ndarray:
 def _ogk_scores(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared OGK pipeline: MAD column scales, eigenvectors of the pairwise
     matrix, and the data expressed in eigenvector coordinates. The scaled
-    columns are also laid out as rows (lanes), from which ``_ogk_pairwise``
-    builds its sums and differences block by block."""
+    columns are laid out once, as rows (lanes): ``_ogk_pairwise`` builds its
+    sums and differences from them block by block, and their transpose is scored."""
     X = np.asarray(X, dtype=float)
     p = X.shape[1]
     _, d = median_mad(X, axis=0)
     if np.any(d == 0.0):
         raise ValueError(f"columns with zero MAD: {np.flatnonzero(d == 0.0).tolist()}")
-    Y = X / d
-    Yt = np.array(Y.T, order="C")
+    Yt = np.divide(X.T, d[:, None], order="C")
 
     U = np.eye(p)
     upper = np.triu(np.ones((p, p), dtype=bool), 1)
     U[upper] = U.T[upper] = _ogk_pairwise(Yt)
-    del Yt, upper
+    del upper
 
     _, E = sym_eigen(U)
-    return d, E, Y @ E
+    return d, E, Yt.T @ E
 
 
 def ogk_estimate(X) -> LocationScatter:
@@ -200,15 +199,16 @@ def ogk_estimate(X) -> LocationScatter:
     Columns are scaled by their MADs; the pairwise robust covariance matrix
     (unit diagonal in scaled coordinates) is eigendecomposed, robust location
     and variance are taken coordinatewise in the eigenvector space (median and
-    squared MAD), and the transform is inverted. The result is symmetric
-    positive semidefinite by construction.
+    squared MAD), and the transform is inverted. The scatter is B B' with
+    B = (d E) diag(sigma), for the column MADs d, the eigenvectors E and the
+    scores' MADs sigma: positive semidefinite, and exactly symmetric as numpy
+    forms a matrix times its own transpose.
     """
     d, E, Z = _ogk_scores(X)
     nu, sigma = median_mad(Z, axis=0)
-    gamma = sigma**2
     A = d[:, None] * E
-    scatter = (A * gamma) @ A.T
-    return LocationScatter(location=A @ nu, scatter=(scatter + scatter.T) / 2.0)
+    B = A * sigma
+    return LocationScatter(location=A @ nu, scatter=B @ B.T)
 
 
 def ogk_reweight(X, est: LocationScatter, beta: float = OGK_BETA) -> LocationScatter:
@@ -278,14 +278,13 @@ def sign2_detect(X, alpha: float) -> DetectionResult:
     """
     X = checked_matrix(X)
     check_alpha(alpha)
-    n = X.shape[0]
 
     D = X - median(X, axis=0)
     S = _unit_rows(D)
     if len(S) < 2:
         raise ValueError("fewer than 2 rows away from the spatial center")
 
-    basis = pca_basis(S, max_components=n - 1)
+    basis = pca_basis(S)
     Z = project(D, basis)
     _, sc = median_mad(Z, axis=0)
     keep = sc > 0.0

@@ -20,7 +20,9 @@ row's failures) or a number, bool or None.
 ``document_json_chunks`` writes exactly what ``json.dumps(indent=2)`` writes
 for the row-per-record form, each block's number columns through the C
 encoder; ``document_csv_chunks`` writes a line of field names and then one
-line per record through ``csv.writer``. Output is fully deterministic:
+line per record through ``csv.writer``, a bool column as ``true``/``false``
+and every other column as it is: None as an empty field, anything else by
+``str``. Output is fully deterministic:
 numbers are written in Python's shortest round-trip representation (never
 more than 17 significant digits) and no wall-clock values enter a report, so
 identical runs produce byte-identical files. Elapsed time is a stderr affair (see the cli module).
@@ -422,19 +424,12 @@ def document_to_json(doc: dict) -> str:
     return "".join(document_json_chunks(doc))
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def document_csv_chunks(doc: dict):
     """The CSV text of ``doc``, piece by piece: the line of field names, then
-    one line per record, one block of rows per piece.
+    one line per record, one block of rows per piece. Each column of a block
+    is rendered by the kind of its first cell: a bool column as ``true`` or
+    ``false``, any other as it is, which ``csv.writer`` writes as an empty
+    field for None and by ``str`` otherwise, a float in its shortest repr.
 
     A document's last entry is its records, a dict of columns of one length.
     The header metadata, the spec and list-valued columns (a sweep row's
@@ -449,7 +444,8 @@ def document_csv_chunks(doc: dict):
         return
     yield _csv_lines([names])
     for block in _blocks(records, names):
-        yield _csv_lines([_csv_cell(value) for value in row] for row in zip(*block))
+        columns = [["true" if cell else "false" for cell in c] if isinstance(c[0], bool) else c for c in block]
+        yield _csv_lines(zip(*columns))
 
 
 def _csv_lines(rows) -> str:

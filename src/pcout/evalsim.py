@@ -172,11 +172,10 @@ def dimension_sweep(
             X = stream[: n * p].reshape(n, p)
             X = _contaminate(X if p == top else X.copy(), truth, base_spec)
             try:
-                flags = detector(X)
+                counts = confusion(truth, detector(X))
             except Exception as exc:  # recorded per cell, not fatal
                 failures.append(f"p={p} rep={r}: {exc}")
                 continue
-            counts = confusion(truth, flags)
             if counts.fn_rate is not None:
                 fns.append(counts.fn_rate)
             if counts.fp_rate is not None:

@@ -208,11 +208,10 @@ def detect(X, cfg: DetectorConfig = DetectorConfig()) -> WeightReport:
     raises a ValueError naming the step.
     """
     X = checked_matrix(X)
-    n = X.shape[0]
     with _Step("sphering"):
         Xs, dropped = robust_sphere(X)
     with _Step("principal-component step"):
-        basis = pca_basis(Xs, cfg.variance_threshold, max_components=n - 1)
+        basis = pca_basis(Xs, cfg.variance_threshold)
         Z = project(Xs, basis)
     del Xs, basis  # each n x p-sized buffer goes once it is consumed
     with _Step("score sphering"):

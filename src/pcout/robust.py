@@ -128,7 +128,7 @@ def _scaled_row_norms(Z, weights=None) -> np.ndarray:
     """``row_norms``, taken on each row multiplied by the power of two that puts its
     largest |entry| in [0.5, 1), and its norm by the inverse after the square root:
     no square overflows or underflows, and the scaling is exact."""
-    _, exponent = np.frexp(np.abs(Z).max(axis=1))
+    _, exponent = np.frexp(np.maximum(Z.max(axis=1), -Z.min(axis=1)))  # no |Z| copy
     Zn = np.ldexp(Z, -exponent[:, None])
     Zn *= Zn
     return np.ldexp(np.sqrt(np.add.reduce(Zn, axis=1) if weights is None else Zn @ weights), exponent)
@@ -166,7 +166,7 @@ def l1_median(X) -> np.ndarray:
     if n == 1:
         return X[0].copy()
 
-    scale = np.maximum.reduce(np.abs(X), axis=None) or 1.0  # tolerances relative to the data
+    scale = max(X.max(), -X.min()) or 1.0  # tolerances relative to the data, with no |X| copy
     X = X / scale
     y = median(X, axis=0)
     for _ in range(_L1_MAX_ITER):

@@ -372,15 +372,16 @@ class TestOgkPairwiseCov:
 
     @pytest.mark.parametrize("shape", [(200, 1200), (3000, 100)])
     def test_peak_is_no_more_than_a_row_at_a_time(self, shape, traced_peak):
-        # What building the matrix one row of the triangle at a time holds: Y and
-        # its lanes copy Yt, one (p - 1) x n array of sums or of differences, and
-        # the p x p terms (U, and eigh's eigenvectors and their reordered copy
-        # in sym_eigen). At 200 x 1200 the p x p terms set the peak; at 3000 x 100
-        # the lanes do, and holding a whole row's sums and differences at once
-        # (another (p - 1) x n) would exceed the bound.
+        # What building the matrix one row of the triangle at a time holds: the
+        # lanes Yt (n x p, the one scaled copy of X), then either one (p - 1) x n
+        # array of sums or of differences or the n x p scores, and the p x p terms
+        # (U, and eigh's eigenvectors and their reordered copy in sym_eigen). At
+        # 200 x 1200 the p x p terms set the peak; at 3000 x 100 the lanes and a
+        # block do, and a second scaled copy of X, or a whole row's sums and
+        # differences at once (another (p - 1) x n), would exceed the bound.
         n, p = shape
         X = np.random.Generator(np.random.Philox(52)).standard_normal(shape)
-        bound = 8 * (2 * n * p + (p - 1) * n + 3 * p * p)
+        bound = 8 * (n * p + max((p - 1) * n, n * p) + 3 * p * p)
         assert traced_peak(_ogk_scores, X) <= bound
 
 

@@ -157,6 +157,14 @@ class TestDimensionSweep:
         assert len(bad_row.failures) == 3
         assert bad_row.mean_fn is None
 
+    def test_a_flag_vector_of_the_wrong_length_is_recorded_on_the_row(self):
+        spec = SimSpec(n=40, p=5, outlier_indices=frozenset({1}), location_shift=10.0, seed=5)
+        rows = dimension_sweep(lambda X: np.zeros(3, bool), [5], 2, spec)
+        assert rows[0].failures == tuple(
+            f"p=5 rep={r}: label vectors differ in length: (40,) vs (3,)" for r in range(2)
+        )
+        assert rows[0].mean_fn is None and rows[0].mean_fp is None
+
 
 def _recording(write=False):
     """A handle that keeps a copy of each matrix it gets, by width in call
@@ -265,6 +273,13 @@ class TestSerialization:
         doc = json.loads(document_to_json(document(spec, rows)))
         assert doc["spec"] == spec.to_dict()
         assert doc["rows"][0]["p"] == 5
+
+    def test_a_numpy_float_alpha_writes_as_the_json_form_reads_it(self):
+        spec = SimSpec(n=30, p=5, outlier_indices=frozenset({1}), location_shift=9.0, seed=2)
+        rows = dimension_sweep(_always_flag_far, [5], 1, spec, detector_name="norm", alpha=np.float64(0.05))
+        doc = document(spec, rows)
+        assert json.loads(document_to_json(doc))["rows"][0]["alpha"] == 0.05
+        assert "".join(document_csv_chunks(doc)).splitlines()[1].startswith("5,0.05,norm,")
 
     def test_none_rates_serialize_as_empty_cells(self):
         spec = SimSpec(n=10, p=3, seed=1)  # no outliers: FN undefined

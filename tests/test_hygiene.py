@@ -462,6 +462,65 @@ def test_the_check_sees_every_hand_rolled_norm():
     ]
 
 
+def _transposed(node) -> ast.expr | None:
+    """``x`` for the expression ``x.T``, ``x.transpose()`` or ``transpose(x)``
+    (``np.transpose(x)`` too), else None."""
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        return node.value
+    if isinstance(node, ast.Call) and _name(node.func) == "transpose":
+        if isinstance(node.func, ast.Attribute) and not node.args:
+            return node.func.value
+        if len(node.args) == 1:
+            return node.args[0]
+    return None
+
+
+def transpose_sums(source: str) -> list[str]:
+    """``line N: what`` for each sum of a matrix and its own transpose the module
+    forms: ``a + a.T`` or ``a.T + a`` (any of ``_transposed``'s forms), or
+    ``add(a, a.T)``, the first step of symmetrizing a by averaging."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            pair = (node.left, node.right)
+        elif isinstance(node, ast.Call) and _name(node.func) == "add" and len(node.args) >= 2:
+            pair = tuple(node.args[:2])
+        else:
+            continue
+        for a, b in (pair, pair[::-1]):
+            inner = _transposed(b)
+            if inner is not None and ast.dump(inner) == ast.dump(a):
+                found.append((node.lineno, node.col_offset, ast.unparse(node)))
+                break
+    return [f"line {line}: {what}" for line, _, what in sorted(found)]
+
+
+# every matrix sym_eigen or the Cholesky factor reads is built exactly symmetric
+# (a matrix times its own transpose, or both triangles written from one set of
+# values); averaging with the transpose would hide one that is not
+def test_no_matrix_in_src_is_symmetrized_by_averaging_it_with_its_transpose():
+    found = {str(p.relative_to(ROOT)): transpose_sums(p.read_text(encoding="utf-8")) for p in SRC}
+    assert {path: sums for path, sums in found.items() if sums} == {}
+
+
+def test_the_check_sees_every_sum_of_a_matrix_and_its_transpose():
+    source = (
+        "S = (scatter + scatter.T) / 2.0\n"
+        "M = 0.5 * (A.T + A)\n"
+        "C = np.add(C, C.transpose()) / 2\n"
+        "D = (B + np.transpose(B)) * 0.5; np.add(np.transpose(x), x, out=x)\n"
+        "E = A + B.T; F = X.T @ X; G = A + A; H = A.T + B.T; K = A - A.T; L = np.add(A, B.T)\n"
+        "U[upper] = U.T[upper] = cov; V = A @ A.transpose(); W = np.transpose(A, (1, 0)) + A.T\n"
+    )
+    assert transpose_sums(source) == [
+        "line 1: scatter + scatter.T",
+        "line 2: A.T + A",
+        "line 3: np.add(C, C.transpose())",
+        "line 4: B + np.transpose(B)",
+        "line 4: np.add(np.transpose(x), x, out=x)",
+    ]
+
+
 def random_draws(source: str) -> list[str]:
     """Each Philox generator, normal draw or default generator the module names (see ``named``)."""
     return named(source, {"Philox", "standard_normal", "default_rng"})
