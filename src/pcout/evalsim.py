@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -67,7 +67,14 @@ class SimSpec:
         object.__setattr__(self, "location_shift", float(self.location_shift))
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "outlier_indices": sorted(self.outlier_indices)}
+        return {
+            "n": self.n,
+            "p": self.p,
+            "outlier_indices": sorted(self.outlier_indices),
+            "location_shift": self.location_shift,
+            "scatter_factor": self.scatter_factor,
+            "seed": self.seed,
+        }
 
 
 def _normals(seed: int, size) -> np.ndarray:
@@ -75,10 +82,9 @@ def _normals(seed: int, size) -> np.ndarray:
     return np.random.Generator(np.random.Philox(seed)).standard_normal(size)
 
 
-def _contaminate(X: np.ndarray, truth: np.ndarray, spec: SimSpec) -> np.ndarray:
-    """Scale by sqrt(scatter_factor), then shift, the rows ``truth`` marks, in place."""
-    rows = np.flatnonzero(truth)
-    X[rows] = spec.location_shift + np.sqrt(spec.scatter_factor) * X[rows]
+def _contaminate(X: np.ndarray, rows: np.ndarray, shift: float, scale: float) -> np.ndarray:
+    """Scale by ``scale``, then shift by ``shift``, the given rows of X, in place."""
+    X[rows] = shift + scale * X[rows]
     return X
 
 
@@ -96,7 +102,8 @@ def generate_contaminated(spec: SimSpec) -> tuple[np.ndarray, np.ndarray]:
     Identical specs yield bit-identical matrices.
     """
     truth = _truth(spec)
-    return _contaminate(_normals(spec.seed, (spec.n, spec.p)), truth, spec), truth
+    X = _normals(spec.seed, (spec.n, spec.p))
+    return _contaminate(X, np.flatnonzero(truth), spec.location_shift, np.sqrt(spec.scatter_factor)), truth
 
 
 @dataclass(frozen=True)
@@ -164,13 +171,14 @@ def dimension_sweep(
     if any(p < 1 for p in p_values) or len(set(p_values)) < len(p_values):
         raise ValueError(f"p values must be positive and distinct, got {p_values}")
     n, truth, top = base_spec.n, _truth(base_spec), max(p_values, default=0)
+    rows, shift, scale = np.flatnonzero(truth), base_spec.location_shift, np.sqrt(base_spec.scatter_factor)
     cells = {p: ([], [], []) for p in p_values}  # fns, fps, failures
     for r in range(replications):
         X = stream = None  # release the previous replication's draw first
         stream = _normals(base_spec.seed + r, n * top)
         for p, (fns, fps, failures) in sorted(cells.items()):
             X = stream[: n * p].reshape(n, p)
-            X = _contaminate(X if p == top else X.copy(), truth, base_spec)
+            X = _contaminate(X if p == top else X.copy(), rows, shift, scale)
             try:
                 counts = confusion(truth, detector(X))
             except Exception as exc:  # recorded per cell, not fatal

@@ -21,7 +21,9 @@ The pipeline:
 
 Every median, MAD and quantile is taken by the one lane kernel in ``robust``,
 and every row norm, stage 1's kurtosis-weighted ones included, by
-``robust.row_norms``.
+``robust.row_norms``. Each stage orders its distances once: ``robust.calibrate``
+takes the calibration median from one copy of them, scales that copy in place,
+which keeps its order, and stage 1 reads its quantile, median and MAD from it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chisq import chi2_quantile
-from .robust import median, median_mad, quantile, robust_sphere, row_norms
+from .robust import calibrate, robust_sphere, row_norms
 from .spectral import pca_basis, project
 
 
@@ -94,6 +96,18 @@ def checked_matrix(X) -> np.ndarray:
     return X
 
 
+def _chi_median_factor(df: int):
+    """The calibration rule: median(raw) -> the factor sqrt(chi2_quantile(0.5, df)) / median(raw)."""
+
+    def factor(med) -> float:
+        med = float(med)
+        if med <= 0.0:
+            raise ValueError("median of distances is zero; distances are degenerate")
+        return math.sqrt(chi2_quantile(0.5, df)) / med
+
+    return factor
+
+
 def transform_distances(raw, df: int) -> np.ndarray:
     """Rescale distances so their median matches the chi-square median.
 
@@ -101,11 +115,7 @@ def transform_distances(raw, df: int) -> np.ndarray:
     pulling the empirical distance distribution toward the chi-square the
     weights are calibrated against.
     """
-    raw = np.asarray(raw, dtype=float)
-    med = float(median(raw))
-    if med <= 0.0:
-        raise ValueError("median of distances is zero; distances are degenerate")
-    return raw * (math.sqrt(chi2_quantile(0.5, df)) / med)
+    return calibrate(raw, _chi_median_factor(df))
 
 
 def translated_biweight(d, M: float, c: float):
@@ -115,7 +125,7 @@ def translated_biweight(d, M: float, c: float):
     like d; requires c > M >= 0.
     """
     d = np.asarray(d, dtype=float)
-    return (1.0 - np.clip((d - M) / (c - M), 0.0, 1.0) ** 2) ** 2
+    return (1.0 - np.minimum(np.maximum((d - M) / (c - M), 0.0), 1.0) ** 2) ** 2
 
 
 def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndarray, DistanceSet, np.ndarray]:
@@ -144,9 +154,10 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
         rel = weight / total
     else:
         rel = np.full(p_star, 1.0 / p_star)  # no kurtosis signal anywhere: weight evenly
-    d = transform_distances(row_norms(Zs, rel), p_star)
-    m_cut = float(quantile(d, cfg.stage1_full_weight_fraction))
-    med, mad = median_mad(d)
+    # the calibrated distances and their order statistics, from one ordering of the norms
+    q = cfg.stage1_full_weight_fraction
+    d, m_cut, med, mad = calibrate(row_norms(Zs, rel), _chi_median_factor(p_star), q)
+    m_cut = float(m_cut)
     c_cut = float(med + cfg.stage1_c_mad_multiplier * mad)
     if c_cut > m_cut:
         w1 = translated_biweight(d, m_cut, c_cut)

@@ -3,9 +3,10 @@
 
 Every median and quantile in the package is taken here, by one lane kernel
 that sorts a lane of at most 256 values whole and partitions a longer one at
-one kth, and every Euclidean norm outside this module by ``row_norms``, which
-rescales rows by powers of two only when a norm falls where a square may overflow
-or underflow.
+one kth; ``calibrate`` reads several of them, before and after a positive
+scaling, from one ordering of one copy. Every Euclidean norm outside this
+module is taken by ``row_norms``, which rescales rows by powers of two only
+when a norm falls where a square may overflow or underflow.
 Everything here is a pure function of its inputs. Scale estimation uses the
 median absolute deviation multiplied by 1.4826, which makes it consistent for
 the standard deviation at the normal distribution.
@@ -37,27 +38,31 @@ def _lanes(X, axis):
     return np.array(lanes, dtype=float, order="C")
 
 
-def _select(A, k):
+def _select(A, k, ordered=False):
     """Order each lane (last axis) of A in place so that A[..., k] holds its kth
     smallest value, NaN last, and return ``largest(start, stop)``: the largest
     value of each lane's A[..., start:stop], a span on one side of k. A lane of
     at most _SORTED_LANE values is sorted whole, which numpy's SIMD sort does in
-    less time than one select plus a strided reduction, and ``largest`` reads
-    A[..., stop - 1]; a longer lane is partitioned at k, and ``largest`` reduces."""
+    less time than one select plus a strided reduction, or left as it is when
+    ``ordered`` says the lanes are sorted already, and ``largest`` reads
+    A[..., stop - 1]; a longer lane is partitioned at k, and ``largest`` reduces.
+    Either way a 1-D A's ``largest`` is a number, as every read of one lane is
+    here (``[()]``): numpy's arithmetic on a 0-d array costs ten times a number's."""
     if A.shape[-1] <= _SORTED_LANE:
-        A.sort(axis=-1)
-        return lambda start, stop: A[..., stop - 1]
+        if not ordered:
+            A.sort(axis=-1)
+        return lambda start, stop: A[..., stop - 1][()]
     A.partition(k, axis=-1)
     return lambda start, stop: np.maximum.reduce(A[..., start:stop], axis=-1)
 
 
-def _middle(A):
+def _middle(A, ordered=False):
     """np.median of each lane (last axis) of A that holds no NaN, and _select's
     ``largest`` for A. A is a C-ordered float array the caller owns, ordered in
     place by _select at the upper middle. -0.0 reads 0.0."""
     h = A.shape[-1] // 2
-    largest = _select(A, h)
-    med = A[..., h] + 0.0
+    largest = _select(A, h, ordered)
+    med = A[..., h][()] + 0.0
     if A.shape[-1] % 2 == 0:
         med += largest(0, h)
         med /= 2.0
@@ -66,27 +71,30 @@ def _middle(A):
 
 def _nan_for_nan_lanes(value, tail):
     """value, with NaN for each lane whose tail, its largest value from _select's
-    kth on, is NaN: NaN sorts last, so those are the lanes holding a NaN."""
-    return np.where(np.isnan(tail), np.nan, value)[()]
+    kth on, is NaN: NaN sorts last, so those are the lanes holding a NaN. One
+    lane's value and tail are numbers, checked without an array."""
+    if isinstance(tail, np.ndarray):
+        return np.where(np.isnan(tail), np.nan, value)
+    return value if tail == tail else np.float64(np.nan)
 
 
-def _lane_median(A):
+def _lane_median(A, ordered=False):
     """np.median of each lane of A, as _middle takes it, NaN for a lane holding one."""
-    med, largest = _middle(A)
+    med, largest = _middle(A, ordered)
     return _nan_for_nan_lanes(med, largest(A.shape[-1] // 2, A.shape[-1]))
 
 
-def _lane_median_mad(A):
+def _lane_median_mad(A, ordered=False):
     """Median and scaled MAD of each lane of A, as _lane_median takes them; overwrites
     A. The MAD needs no NaN check of its own: a NaN or ±inf median makes at least
     half the deviations NaN, so the middle that _select orders already reads NaN."""
-    med = _lane_median(A)
+    med = _lane_median(A, ordered)
     A -= med[..., None]
     np.abs(A, out=A)
     return med, MAD_SCALE * _middle(A)[0]
 
 
-def _lane_quantile(A, q):
+def _lane_quantile(A, q, ordered=False):
     """np.quantile(lane, q), type 7, of each lane of A for q in [0, 1]; overwrites A.
 
     A is ordered by _select at the upper of the two order statistics the
@@ -97,8 +105,8 @@ def _lane_quantile(A, q):
     v = (n - 1) * q
     top = v >= n - 1  # numpy then interpolates from its index -1, the largest value, to itself
     k = n - 1 if top else int(v) + 1
-    largest = _select(A, k)
-    hi = A[..., k]
+    largest = _select(A, k, ordered)
+    hi = A[..., k][()]
     lo = hi if top else largest(0, k)
     t = v + 1.0 if top else v - (k - 1)
     step = hi - lo
@@ -122,6 +130,29 @@ def quantile(X, q, axis=None):
     """np.quantile(X, q, axis) (type 7, numpy's default) for q in [0, 1] and an int
     axis or None, taken on a copy of X laid out as lanes."""
     return _lane_quantile(_lanes(X, axis), q)
+
+
+def calibrate(x, factor, q=None):
+    """x * f for a 1-D x and the float f = factor(median(x)); with a q in [0, 1], also
+    the type-7 q-quantile, the median and the scaled MAD of x * f, each the value
+    ``quantile`` and ``median_mad`` take of x * f, NaN for an x holding NaN.
+
+    All of it is read from one lane copy of x, ordered once. The median of x sorts
+    a copy of at most _SORTED_LANE values whole; times a positive finite f, which
+    never reverses an order, it is the sorted x * f bit for bit, and the quantile
+    and the median are read from it by index. The MAD then overwrites the copy
+    with its absolute deviations and orders those. A longer copy is partitioned
+    at each statistic's kth in turn and never sorted whole.
+    """
+    x = np.asarray(x, dtype=float)
+    A = _lanes(x, None)
+    f = factor(_lane_median(A))
+    d = x * f
+    if q is None:
+        return d
+    A *= f
+    ordered = 0.0 < f < math.inf  # an infinite f turns 0 into NaN, a NaN or negative one breaks the order
+    return d, _lane_quantile(A, q, ordered), *_lane_median_mad(A, ordered)
 
 
 def _scaled_row_norms(Z, weights=None) -> np.ndarray:

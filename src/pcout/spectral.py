@@ -67,11 +67,9 @@ def sym_eigen(C) -> tuple[np.ndarray, np.ndarray]:
     return w[order], V[:, order]
 
 
-def retain_components(eigenvalues, threshold: float, max_components: int | None = None) -> int:
-    """Smallest k whose leading eigenvalues cover `threshold`, in (0, 1], of the total.
-
-    Optionally capped at `max_components` (the n - 1 cap that guarantees a
-    nonsingular score space).
+def retain_components(eigenvalues, threshold: float, max_components: int) -> int:
+    """Smallest k whose leading eigenvalues cover `threshold`, in (0, 1], of the total,
+    capped at `max_components` (the n - 1 cap that guarantees a nonsingular score space).
     """
     ev = np.asarray(eigenvalues, dtype=float)
     if ev.size == 0 or not np.add.reduce(ev) > 0.0:
@@ -79,9 +77,7 @@ def retain_components(eigenvalues, threshold: float, max_components: int | None 
     frac = np.add.accumulate(ev)
     frac /= frac[-1]
     k = int((frac >= threshold - 1e-12).argmax()) + 1
-    if max_components is not None:
-        k = min(k, max_components)
-    return max(k, 1)
+    return max(min(k, max_components), 1)
 
 
 def project(Xs, basis: PcaBasis) -> np.ndarray:
@@ -124,7 +120,7 @@ def pca_basis(Xs, variance_threshold: float = 0.99, max_components: int | None =
         del Xc, M
         V /= row_norms(V.T)
     cap = n - 1 if max_components is None else min(n - 1, max_components)
-    k = retain_components(w, variance_threshold, max_components=cap)
+    k = retain_components(w, variance_threshold, cap)
     fraction = min(float(np.add.reduce(w[:k])) / total, 1.0)
     eigenvalues = w[:k].copy()
     if e:  # back to the units of Xs, where a variance past the float range reads inf

@@ -45,6 +45,11 @@ class TestSimSpec:
         blob = json.dumps(spec.to_dict())
         assert json.loads(blob)["outlier_indices"] == [1, 50]
 
+    def test_to_dict_is_every_field_in_order_with_the_indices_sorted(self):
+        spec = SimSpec(n=100, p=10, outlier_indices=frozenset({50, 1}), scatter_factor=3, seed=7)
+        want = {**dataclasses.asdict(spec), "outlier_indices": [1, 50]}
+        assert list(spec.to_dict().items()) == list(want.items())
+
 
 class TestGenerate:
     def test_no_outliers_means_all_false_truth(self):

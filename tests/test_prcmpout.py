@@ -17,7 +17,8 @@ from pcout.prcmpout import (
     transform_distances,
     translated_biweight,
 )
-from pcout.robust import MAD_SCALE, robust_sphere
+from pcout import robust
+from pcout.robust import MAD_SCALE, median_mad, quantile, robust_sphere, row_norms
 from pcout.spectral import pca_basis, retain_components
 
 
@@ -268,6 +269,60 @@ class TestStage2:
         w_base, _ = stage2_scatter(Zs)
         w_scaled, _ = stage2_scatter(Zs * 37.5)
         assert w_scaled == pytest.approx(w_base, abs=1e-12)
+
+
+def _stages_composed(Zs, kurt, cfg=DetectorConfig()):
+    """Both stages' weights, distances and cuts as composed before each stage
+    ordered its distances once: transform_distances, then quantile and
+    median_mad on copies of the distances, and np.clip's biweight."""
+
+    def biweight(d, M, c):
+        return (1.0 - np.clip((d - M) / (c - M), 0.0, 1.0) ** 2) ** 2
+
+    p = Zs.shape[1]
+    rel = kurt / np.add.reduce(kurt) if np.add.reduce(kurt) > 0.0 else np.full(p, 1.0 / p)
+    d1 = transform_distances(row_norms(Zs, rel), p)
+    m1 = float(quantile(d1, cfg.stage1_full_weight_fraction))
+    med, mad = median_mad(d1)
+    c1 = float(med + cfg.stage1_c_mad_multiplier * mad)
+    w1 = biweight(d1, m1, c1) if c1 > m1 else (d1 <= m1).astype(float)
+    d2 = transform_distances(row_norms(Zs), p)
+    m2 = math.sqrt(chi2_quantile(cfg.stage2_m_quantile, p))
+    c2 = math.sqrt(chi2_quantile(cfg.stage2_c_quantile, p))
+    return (w1, d1, m1, c1), (biweight(d2, m2, c2), d2, m2, c2)
+
+
+_STAGE_INPUTS = {
+    "100x40": lambda: _sphered_scores(_planted((100, 40), 32)),
+    "10000x100": lambda: _sphered_scores(_planted((10000, 100), 32)),
+    "flat": lambda: np.array([[1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 3.0, -4.0]]).T,
+}
+
+
+class TestStagesOrderTheirDistancesOnce:
+    """Each stage reads its order statistics from one ordering of its distances,
+    with the bits of the composition it replaced, on both routes of the lane kernel."""
+
+    @pytest.mark.parametrize("limit", [0, 2**62], ids=["select", "sorted"])
+    @pytest.mark.parametrize("name", list(_STAGE_INPUTS))
+    def test_both_stages_match_the_composition_bit_for_bit(self, monkeypatch, limit, name):
+        Zs = _STAGE_INPUTS[name]()
+        monkeypatch.setattr(robust, "_SORTED_LANE", limit)
+        w1, d1, kurt = stage1_location(Zs)
+        w2, d2 = stage2_scatter(Zs)
+        want1, want2 = _stages_composed(Zs, kurt)
+        for (w, dset), want in (((w1, d1), want1), ((w2, d2), want2)):
+            got = (w, dset.transformed, dset.m_cut, dset.c_cut)
+            assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+        if name == "flat":
+            assert d1.c_cut <= d1.m_cut  # the branch that gives full weight up to the cut
+
+    @pytest.mark.parametrize("stage", [stage1_location, stage2_scatter])
+    def test_a_zero_median_distance_is_the_error_it_was(self, stage):
+        Zs = np.zeros((7, 2))
+        Zs[:3] = [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]
+        with pytest.raises(ValueError, match="^median of distances is zero; distances are degenerate$"):
+            stage(Zs)
 
 
 class TestCombineWeights:

@@ -12,6 +12,7 @@ from pcout.prcmpout import detect
 from pcout.robust import (
     MAD_SCALE,
     _scaled_row_norms,
+    calibrate,
     l1_median,
     median,
     median_mad,
@@ -197,6 +198,67 @@ class TestQuantile:
         X = np.array([[1.0, 2.0], [np.nan, 3.0], [5.0, 4.0]])
         got = quantile(X, 1.0 / 3.0, axis=0)
         assert np.isnan(got[0]) and got[1] == np.quantile(X[:, 1], 1.0 / 3.0)
+
+
+class TestCalibrate:
+    """robust.calibrate reads np.median, np.quantile and the scaled MAD of x * f,
+    f = factor(median(x)), bit for bit, from one ordering of its copy of x."""
+
+    @staticmethod
+    def _statistics(d, q):
+        with np.errstate(invalid="ignore"):  # inf - inf, in both computations
+            med = np.median(d)
+            return np.quantile(d, q), med, MAD_SCALE * np.median(np.abs(d - med))
+
+    @pytest.mark.parametrize("limit", _ROUTES, ids=["select", "sorted"])
+    @pytest.mark.parametrize("n", [3, 4, 100, 101, 256, 257, 10000])
+    @pytest.mark.parametrize("scaled", [False, True], ids=["x", "x*f"])
+    def test_statistics_of_the_scaled_copy_match_numpy(self, monkeypatch, limit, n, scaled):
+        monkeypatch.setattr(robust, "_SORTED_LANE", limit)
+        x = np.abs(np.random.Generator(np.random.Philox(n)).standard_normal(n))
+        x[:: max(n // 10, 1)] = x[0]  # ties
+        factor = (lambda med: 0.6744897501960817 / float(med)) if scaled else (lambda med: 1.0)
+        before = x.tobytes()
+        for q in (0.0, 1.0 / 3.0, 0.5, 1.0):
+            d, *got = calibrate(x, factor, q)
+            assert d.tobytes() == (x * factor(np.median(x))).tobytes()
+            assert np.array(got).tobytes() == np.array(self._statistics(d, q)).tobytes()
+        assert calibrate(x, factor).tobytes() == d.tobytes()
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("limit", _ROUTES, ids=["select", "sorted"])
+    @pytest.mark.parametrize("n", [100, 257])
+    def test_a_nan_makes_every_statistic_nan(self, monkeypatch, limit, n):
+        monkeypatch.setattr(robust, "_SORTED_LANE", limit)
+        x = np.arange(1.0, n + 1.0)
+        x[n // 3] = np.nan
+        seen = []
+        d, *got = calibrate(x, lambda med: seen.append(med) or 1.0, 1.0 / 3.0)
+        assert np.isnan(seen).all() and np.isnan(got).all()
+        assert d.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("limit", _ROUTES, ids=["select", "sorted"])
+    def test_an_infinite_factor_reads_what_numpy_reads(self, monkeypatch, limit):
+        # 0 * inf is NaN: the scaled copy leaves sorted order, and is ordered again
+        monkeypatch.setattr(robust, "_SORTED_LANE", limit)
+        x = np.array([0.0, 1.0, 2.0, 3.0, 0.0, 5.0])
+        with np.errstate(invalid="ignore"):
+            d, *got = calibrate(x, lambda med: np.inf, 1.0 / 3.0)
+        assert np.isnan(d[[0, 4]]).all()
+        assert np.array_equal(got, self._statistics(d, 1.0 / 3.0), equal_nan=True)
+
+    @pytest.mark.parametrize("q, sorts", [(None, 1), (1.0 / 3.0, 2)])
+    def test_a_short_copy_is_sorted_for_the_median_and_for_the_deviations_only(self, monkeypatch, q, sorts):
+        calls = []
+        select = robust._select
+
+        def counted(A, k, ordered=False):
+            calls.append(ordered)
+            return select(A, k, ordered)
+
+        monkeypatch.setattr(robust, "_select", counted)
+        calibrate(np.arange(100.0, 0.0, -1.0), lambda med: 2.0, q)
+        assert calls.count(False) == sorts
 
 
 class TestMad:

@@ -121,20 +121,20 @@ class TestGramEigen:
 
 class TestRetainComponents:
     def test_forced_by_the_at_least_rule(self):
-        assert retain_components([98.0, 1.0, 1.0], 0.99) == 2
+        assert retain_components([98.0, 1.0, 1.0], 0.99, max_components=3) == 2
 
     def test_single_component(self):
-        assert retain_components([10.0], 0.99) == 1
+        assert retain_components([10.0], 0.99, max_components=1) == 1
 
     def test_zero_tail(self):
-        assert retain_components([5.0, 5.0, 0.0, 0.0], 0.99) == 2
+        assert retain_components([5.0, 5.0, 0.0, 0.0], 0.99, max_components=4) == 2
 
     def test_cap(self):
         assert retain_components([1.0, 1.0, 1.0, 1.0], 1.0, max_components=2) == 2
 
     def test_all_zero_errors(self):
         with pytest.raises(ValueError):
-            retain_components([0.0, 0.0], 0.99)
+            retain_components([0.0, 0.0], 0.99, max_components=2)
 
 
 class TestProject:
