@@ -11,7 +11,9 @@ OGK's wide branch spheres its scores with ``robust.robust_sphere``. Every
 distance, and sign2's signs, comes from ``robust.row_norms``.
 
 Classical and OGK's n > p distances go through ``robust_distances``: one
-Cholesky factor L of the scatter, and the row norms of (X - location) L^-T.
+Cholesky factor L of the scatter, and the row norms of the centred rows times
+L^-T. A fit centres its rows once: its mean, its ``spectral.covariance`` and,
+for classical, its distances all come from the same centred rows.
 The product trace(C) ||L^-1||_F^2 bounds the condition number from above;
 only when it fails to certify the scatter is the scatter eigendecomposed and
 refused as singular when its smallest eigenvalue is at most _SINGULAR_RTOL
@@ -64,22 +66,20 @@ class DetectionResult:
     method: str
 
 
-def robust_distances(X, est: LocationScatter) -> np.ndarray:
-    """Mahalanobis distances of the rows of X under (location, scatter).
+def robust_distances(D, C) -> np.ndarray:
+    """Mahalanobis distances under the scatter C of the rows of D, data less a location.
 
-    The scatter C is factored once, C = L L' (``np.linalg.cholesky``, which
-    reads its lower triangle), and the distances are the row norms of
-    (X - location) @ L^-T. Since trace(C) ||L^-1||_F^2 = trace(C) trace(C^-1)
-    is at least lambda_max / lambda_min, a product below _CERTIFIED shows that
-    the singular test (smallest eigenvalue at most _SINGULAR_RTOL times the
-    largest) cannot fire, with a factor of ten to spare for rounding, and no
-    eigendecomposition is made. A NaN or infinite product fails that check.
-    Only then, or when the factor or its inverse cannot be formed, is C
-    eigendecomposed and the test applied; a C that passes it without a factor
-    is whitened by its eigenpairs instead. A non-finite C never gets a result.
+    C is factored once, C = L L' (``np.linalg.cholesky``, which reads its lower
+    triangle), and the distances are the row norms of D @ L^-T. Since
+    trace(C) ||L^-1||_F^2 = trace(C) trace(C^-1) is at least lambda_max /
+    lambda_min, a product below _CERTIFIED shows that the singular test
+    (smallest eigenvalue at most _SINGULAR_RTOL times the largest) cannot fire,
+    with a factor of ten to spare for rounding, and no eigendecomposition is
+    made. A NaN or infinite product fails that check. Only then, or when the
+    factor or its inverse cannot be formed, is C eigendecomposed and the test
+    applied; a C that passes it without a factor is whitened by its eigenpairs
+    instead. A non-finite C never gets a result.
     """
-    X = np.asarray(X, dtype=float)
-    C = np.asarray(est.scatter, dtype=float)
     try:
         Linv = np.linalg.inv(np.linalg.cholesky(C))
     except np.linalg.LinAlgError:
@@ -98,7 +98,7 @@ def robust_distances(X, est: LocationScatter) -> np.ndarray:
             )
         if Linv is None:  # Linv' Linv = C^-1 from the eigenpairs
             Linv = (evecs / np.sqrt(evals)).T
-    return row_norms((X - est.location) @ Linv.T)
+    return row_norms(D @ Linv.T)
 
 
 def check_alpha(alpha: float):
@@ -126,8 +126,8 @@ def classical_detect(X, alpha: float) -> DetectionResult:
             f"classical detection needs n > p (got n={n}, p={p}); "
             "use the prcmpout method, which handles wide matrices"
         )
-    est = LocationScatter(location=X.mean(axis=0), scatter=covariance(X))
-    return _chi2_cut(robust_distances(X, est), p, alpha, "classical")
+    Xc = X - np.add.reduce(X, axis=0) / n  # X.mean(axis=0) bit for bit
+    return _chi2_cut(robust_distances(Xc, covariance(Xc)), p, alpha, "classical")
 
 
 def _quarter_difference(plus, minus):
@@ -217,12 +217,12 @@ def ogk_reweight(X, est: LocationScatter, beta: float = OGK_BETA) -> LocationSca
     Squared robust distances are compared against
     d0^2 = chi2(beta, p) * med(d^2) / chi2(0.5, p), for beta in (0, 1); rows
     at or beyond d0 are discarded and the plain mean and covariance of the
-    remainder returned.
+    remainder returned, both from one centring of the kept rows.
     """
     X = np.asarray(X, dtype=float)
-    n, p = X.shape
+    p = X.shape[1]
     with np.errstate(over="ignore"):  # a distance past about 1e154 squares to inf, rejected
-        d2 = robust_distances(X, est) ** 2
+        d2 = robust_distances(X - est.location, est.scatter) ** 2
     d0_sq = chi2_quantile(beta, p) * float(median(d2)) / chi2_quantile(0.5, p)
     keep = d2 < d0_sq
     if keep.sum() < p + 1:
@@ -230,7 +230,9 @@ def ogk_reweight(X, est: LocationScatter, beta: float = OGK_BETA) -> LocationSca
             f"only {int(keep.sum())} rows retained by the reweighting; need at least {p + 1}"
         )
     sample = X[keep]
-    return LocationScatter(location=sample.mean(axis=0), scatter=covariance(sample))
+    location = np.add.reduce(sample, axis=0) / len(sample)  # sample.mean(axis=0) bit for bit
+    sample -= location
+    return LocationScatter(location=location, scatter=covariance(sample))
 
 
 def ogk_detect(X, alpha: float) -> DetectionResult:
@@ -247,7 +249,8 @@ def ogk_detect(X, alpha: float) -> DetectionResult:
     check_alpha(alpha)
     n, p = X.shape
     if n > p:
-        dist = robust_distances(X, ogk_reweight(X, ogk_estimate(X)))
+        est = ogk_reweight(X, ogk_estimate(X))
+        dist = robust_distances(X - est.location, est.scatter)
     else:
         dist = row_norms(robust_sphere(_ogk_scores(X)[2])[0])
     return _chi2_cut(transform_distances(dist, p), p, alpha, "ogk")

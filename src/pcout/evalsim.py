@@ -21,6 +21,7 @@ line writes that document as JSON or CSV.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
@@ -52,6 +53,12 @@ class SimSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name in ("n", "p", "seed"):  # numpy integers too, stored as int
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n < 1 or self.p < 1:
             raise ValueError(f"n and p must be positive, got n={self.n}, p={self.p}")
         if not math.isfinite(self.location_shift):
@@ -65,6 +72,7 @@ class SimSpec:
             raise ValueError(f"outlier indices must lie in 1..{self.n}")
         object.__setattr__(self, "outlier_indices", idx)
         object.__setattr__(self, "location_shift", float(self.location_shift))
+        object.__setattr__(self, "scatter_factor", float(self.scatter_factor))
 
     def to_dict(self) -> dict:
         return {

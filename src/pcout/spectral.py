@@ -42,14 +42,12 @@ class PcaBasis:
         return self.eigenvectors.shape[1]
 
 
-def covariance(X) -> np.ndarray:
-    """Sample covariance with denominator n - 1 of a matrix the caller gives at
-    least 2 rows, exactly symmetric as computed: numpy forms Xc'Xc, a matrix
-    times its own transpose, as one mirrored triangle."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    Xc = X - X.mean(axis=0)
-    return Xc.T @ Xc / (n - 1)
+def covariance(Xc) -> np.ndarray:
+    """Sample covariance Xc'Xc / (n - 1) of n >= 2 rows that the caller has
+    centred once, at their column mean, and may reuse: exactly symmetric as
+    computed, since numpy forms a matrix times its own transpose as one
+    mirrored triangle."""
+    return Xc.T @ Xc / (Xc.shape[0] - 1)
 
 
 def sym_eigen(C) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +102,7 @@ def pca_basis(Xs, variance_threshold: float = 0.99, max_components: int | None =
     e = int(np.frexp(big)[1]) if big > math.sqrt(sys.float_info.max / (n * p)) else 0
     if e:
         np.ldexp(Xc, -e, out=Xc)
-    M = (Xc @ Xc.T if p > n else Xc.T @ Xc) / (n - 1)
+    M = Xc @ Xc.T / (n - 1) if p > n else covariance(Xc)
     if p <= n:
         del Xc  # only the Gram route maps eigenvectors back through Xc: free it before eigh
     total = float(M.trace())

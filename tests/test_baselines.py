@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from pcout import baselines, robust, spectral
 from pcout.baselines import (
+    OGK_BETA,
     LocationScatter,
     _ogk_pairwise,
     _ogk_scores,
@@ -17,6 +19,7 @@ from pcout.baselines import (
     robust_distances,
     sign2_detect,
 )
+from pcout.chisq import chi2_quantile
 from pcout.evalsim import REFERENCE_OUTLIER_ROWS, SimSpec, generate_contaminated
 from pcout.prcmpout import detect
 from pcout.robust import MAD_SCALE, _lane_median_mad, median_mad
@@ -151,14 +154,12 @@ class TestRobustDistances:
     def test_identity_scatter_gives_euclidean_norms(self):
         rng = np.random.Generator(np.random.Philox(40))
         X = rng.standard_normal((20, 3))
-        est = LocationScatter(np.zeros(3), np.eye(3))
-        assert robust_distances(X, est) == pytest.approx(np.linalg.norm(X, axis=1), rel=1e-12)
+        assert robust_distances(X, np.eye(3)) == pytest.approx(np.linalg.norm(X, axis=1), rel=1e-12)
 
     def test_row_at_the_location_has_zero_distance(self):
         T = np.array([1.0, -2.0])
         X = np.vstack([T, T + 1.0])
-        est = LocationScatter(T, np.eye(2))
-        assert robust_distances(X, est)[0] == 0.0
+        assert robust_distances(X - T, np.eye(2))[0] == 0.0
 
     def test_matches_the_explicit_two_by_two_inverse(self):
         rng = np.random.Generator(np.random.Philox(41))
@@ -170,7 +171,7 @@ class TestRobustDistances:
         Cinv = np.array([[C[1, 1], -C[0, 1]], [-C[1, 0], C[0, 0]]]) / det
         D = X - T
         expected = np.sqrt(np.einsum("ij,jk,ik->i", D, Cinv, D))
-        assert robust_distances(X, LocationScatter(T, C)) == pytest.approx(expected, abs=1e-12)
+        assert robust_distances(X - T, C) == pytest.approx(expected, abs=1e-12)
 
     def test_affine_invariance(self):
         rng = np.random.Generator(np.random.Philox(42))
@@ -179,16 +180,13 @@ class TestRobustDistances:
         C = np.cov(X, rowvar=False)
         A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
         b = rng.standard_normal(4)
-        base = robust_distances(X, LocationScatter(T, C))
-        mapped = robust_distances(
-            X @ A.T + b, LocationScatter(A @ T + b, A @ C @ A.T)
-        )
+        base = robust_distances(X - T, C)
+        mapped = robust_distances((X @ A.T + b) - (A @ T + b), A @ C @ A.T)
         assert mapped == pytest.approx(base, abs=1e-8)
 
     def test_singular_scatter_names_the_eigenvalue(self):
-        est = LocationScatter(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(ValueError, match="eigenvalue"):
-            robust_distances(np.eye(2), est)
+            robust_distances(np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     # Condition numbers either side of the certificate's limit, where
     # trace(C) trace(C^-1) reaches 1e11, and of the singular test's 1e12. For
@@ -201,7 +199,7 @@ class TestRobustDistances:
         X = np.random.Generator(np.random.Philox(45)).standard_normal((20, 2))
         est = LocationScatter(np.array([0.5, -1.0]), np.diag([scale, scale / cond]))
         expected = _outcome(_eigen_rule_distances, X, est)
-        got = _outcome(robust_distances, X, est)
+        got = _outcome(robust_distances, X - est.location, est.scatter)
         assert len(eigen_calls) == decomposed
         if isinstance(expected, str):
             assert got == expected
@@ -217,7 +215,7 @@ class TestRobustDistances:
         X = np.random.Generator(np.random.Philox(46)).standard_normal((20, 4))
         est = LocationScatter(np.zeros(4), (C + C.T) / 2.0)
         expected = _outcome(_eigen_rule_distances, X, est)
-        got = _outcome(robust_distances, X, est)
+        got = _outcome(robust_distances, X - est.location, est.scatter)
         assert type(got) is type(expected)
         if isinstance(expected, str):
             assert got == expected
@@ -242,7 +240,7 @@ class TestRobustDistances:
         expected = _outcome(_eigen_rule_distances, np.eye(3), est)
         assert expected.startswith("scatter matrix is singular")
         with pytest.raises(ValueError) as raised:
-            robust_distances(np.eye(3), est)
+            robust_distances(np.eye(3), C)
         assert str(raised.value) == expected
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -250,7 +248,7 @@ class TestRobustDistances:
         C = np.eye(3)
         C[1, 1] = bad
         with pytest.raises(ValueError, match="scatter matrix is not finite"):
-            robust_distances(np.eye(3), LocationScatter(np.zeros(3), C))
+            robust_distances(np.eye(3), C)
 
     def test_a_scatter_the_factor_fails_on_is_whitened_by_its_eigenpairs(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(47))
@@ -263,7 +261,7 @@ class TestRobustDistances:
             raise np.linalg.LinAlgError("no factor")
 
         monkeypatch.setattr(np.linalg, "cholesky", no_factor)
-        assert robust_distances(X, est) == pytest.approx(expected, rel=1e-12)
+        assert robust_distances(X - est.location, est.scatter) == pytest.approx(expected, rel=1e-12)
 
     def test_the_sweeps_classical_scatters_need_no_eigendecomposition(self, eigen_calls):
         for p in (10, 20, 30, 40):
@@ -425,6 +423,58 @@ class TestOgkEstimate:
             ogk_estimate(X)
 
 
+def _twice_centred_covariance(X):
+    """The sample covariance as the fits took it before they centred once:
+    the column mean taken again, and X centred again."""
+    Xc = X - X.mean(axis=0)
+    return Xc.T @ Xc / (X.shape[0] - 1)
+
+
+def _one_centring_input(name):
+    if name == "covariance-corpus":
+        return _corpus_input("covariance")
+    if name == "near-singular":
+        # a column at 3e-6 the scale of the rest: trace(C) trace(C^-1) passes the
+        # certificate's 1e11, so C is eigendecomposed, and its eigenvalue ratio,
+        # about 1e-11, clears the singular test
+        X = np.random.Generator(np.random.Philox(60)).standard_normal((100, 5))
+        X[:, 0] *= 3e-6
+        return X
+    n, p = map(int, name.split("x"))
+    return generate_contaminated(SimSpec(n, p, REFERENCE_OUTLIER_ROWS, location_shift=1.5, seed=p))[0]
+
+
+class TestEachFitCentresOnce:
+    """The fits' location and scatter come from one centring of their rows, with
+    the bytes of the mean-then-covariance composition that centred them twice."""
+
+    @pytest.mark.parametrize(
+        "name", ["100x1", "100x10", "100x40", "101x7", "covariance-corpus", "near-singular"]
+    )
+    def test_classical_is_the_twice_centred_composition(self, name, eigen_calls):
+        X = _one_centring_input(name)
+        got = classical_detect(X, 0.05)
+        assert len(eigen_calls) == (name == "near-singular")
+        dist = robust_distances(X - X.mean(axis=0), _twice_centred_covariance(X))
+        cutoff = math.sqrt(chi2_quantile(0.95, X.shape[1]))
+        assert got.distances.tobytes() == dist.tobytes()
+        assert got.cutoff == cutoff
+        assert got.flags.tobytes() == (dist > cutoff).tobytes()
+
+    @pytest.mark.parametrize("name", ["100x10", "100x40", "101x7", "covariance-corpus"])
+    def test_ogk_reweight_is_the_kept_rows_mean_and_twice_centred_covariance(self, name):
+        X = _one_centring_input(name)
+        est = ogk_estimate(X)
+        p = X.shape[1]
+        d2 = robust_distances(X - est.location, est.scatter) ** 2
+        keep = d2 < chi2_quantile(OGK_BETA, p) * float(np.median(d2)) / chi2_quantile(0.5, p)
+        assert 0 < np.count_nonzero(~keep)
+        sample = X[keep]
+        got = ogk_reweight(X, est)
+        assert got.location.tobytes() == sample.mean(axis=0).tobytes()
+        assert got.scatter.tobytes() == _twice_centred_covariance(sample).tobytes()
+
+
 class TestOgkReweight:
     def test_no_rejection_recovers_the_classical_estimate(self):
         rng = np.random.Generator(np.random.Philox(49))
@@ -438,9 +488,7 @@ class TestOgkReweight:
         rng = np.random.Generator(np.random.Philox(50))
         X = rng.standard_normal((200, 4))
         est = ogk_estimate(X)
-        d2 = robust_distances(X, est) ** 2
-        from pcout.chisq import chi2_quantile
-
+        d2 = robust_distances(X - est.location, est.scatter) ** 2
         d0_sq = chi2_quantile(0.5, 4) * np.median(d2) / chi2_quantile(0.5, 4)
         kept = float(np.mean(d2 < d0_sq))
         assert 0.4 <= kept <= 0.6

@@ -3,8 +3,11 @@
 ``bench/tracing.py`` times ``pcout detect`` layer by layer through public
 functions (``robust_sphere``'s pair, ``pca_basis``'s ``max_components``,
 ``stage1_location``'s triple) and counts the eigenproblem's order by wrapping
-``np.linalg.eigh``. A change to any of these breaks the traced benchmark; this
-test shows it in under a second. It imports the benchmark's modules without
+``np.linalg.eigh``. Its sweep also calls the baselines (``classical_detect``,
+``ogk_estimate``, ``ogk_reweight``, ``ogk_detect``, ``sign2_detect``) and checks
+two of their results with ``checks.classical_matches`` and ``checks.psd``. A
+change to any of these breaks the traced benchmark; this test shows it in under
+a second. It imports the benchmark's modules without
 calling ``env.configure()``, so nothing is written under ``bench/``.
 """
 
@@ -44,3 +47,15 @@ def test_eig_probe_sees_the_smaller_order(name):
     order, p_star = tracing._eig_probe(_input(name), DetectorConfig())
     assert order == min(SHAPES[name])
     assert 1 <= p_star <= SHAPES[name][0] - 1
+
+
+def test_traced_sweep_calls_into_the_baselines():
+    X = _input("tall")
+    classical = tracing.classical_detect(X, tracing.ALPHA)
+    est = tracing.ogk_estimate(X)
+    refined = tracing.ogk_reweight(X, est)
+    assert refined.scatter.shape == est.scatter.shape == (8, 8)
+    assert checks.classical_matches(X, classical, tracing.ALPHA) is None
+    assert checks.psd(est.scatter) is None
+    for detector in (tracing.ogk_detect, tracing.sign2_detect):
+        assert detector(X, tracing.ALPHA).flags.shape == (120,)

@@ -50,6 +50,29 @@ class TestSimSpec:
         want = {**dataclasses.asdict(spec), "outlier_indices": [1, 50]}
         assert list(spec.to_dict().items()) == list(want.items())
 
+    def test_numpy_integer_sizes_and_seed_are_stored_as_int(self):
+        spec = SimSpec(n=np.int64(30), p=np.int32(3), seed=np.uint8(1))
+        assert [type(v) for v in (spec.n, spec.p, spec.seed)] == [int, int, int]
+        assert (spec.n, spec.p, spec.seed) == (30, 3, 1)
+
+    def test_a_sweep_over_a_numpy_integer_spec_writes_as_json(self):
+        spec = SimSpec(n=np.int64(30), p=np.int64(3), outlier_indices={2}, seed=np.int64(1))
+        rows = dimension_sweep(lambda X: classical_detect(X, 0.05).flags, [2, 3], 2, spec, "classical")
+        doc = json.loads(document_to_json(document(spec, rows)))
+        assert doc["spec"]["n"] == 30 and doc["spec"]["seed"] == 1
+        assert [row["seed"] for row in doc["rows"]] == [1, 1]
+
+    @pytest.mark.parametrize("field", ["n", "p", "seed"])
+    @pytest.mark.parametrize("value", [30.0, np.float64(3.0), 2.5, "3", None])
+    def test_a_non_integral_size_or_seed_is_named(self, field, value):
+        given = {"n": 30, "p": 3, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            SimSpec(**given)
+
+    def test_scatter_factor_is_echoed_as_a_float(self):
+        echoed = SimSpec(n=10, p=2, scatter_factor=4).to_dict()["scatter_factor"]
+        assert type(echoed) is float and echoed == 4.0
+
 
 class TestGenerate:
     def test_no_outliers_means_all_false_truth(self):

@@ -11,21 +11,26 @@ from pcout.spectral import (
 )
 
 
+def sample_covariance(X):
+    """The sample covariance of X: ``covariance`` of its rows centred at their mean."""
+    return covariance(X - X.mean(axis=0))
+
+
 class TestCovariance:
     def test_identical_columns_give_equal_entries(self):
         col = np.array([1.0, 4.0, 2.0, 7.0])
-        C = covariance(np.column_stack([col, col]))
+        C = sample_covariance(np.column_stack([col, col]))
         assert np.ptp(C) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_centered_columns_give_diagonal(self):
         X = np.column_stack([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
-        C = covariance(X)
+        C = sample_covariance(X)
         assert C[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_the_double_loop(self):
         rng = np.random.Generator(np.random.Philox(10))
         X = rng.standard_normal((20, 3))
-        C = covariance(X)
+        C = sample_covariance(X)
         means = X.mean(axis=0)
         for j in range(3):
             for k in range(3):
@@ -39,13 +44,13 @@ class TestCovariance:
     def test_is_exactly_symmetric_with_the_symmetrized_bytes(self, shape):
         rng = np.random.Generator(np.random.Philox(11))
         X = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 101, shape[1])
-        C = covariance(X)
+        C = sample_covariance(X)
         assert C.tobytes() == np.ascontiguousarray(C.T).tobytes()
         assert C.tobytes() == ((C + C.T) / 2.0).tobytes()
 
     def test_a_variance_past_half_the_float_maximum_stays_finite(self):
         # 2 * (8e153)^2 = 1.28e308 is finite; C + C.T would overflow
-        C = covariance(np.array([[8e153], [-8e153]]))
+        C = sample_covariance(np.array([[8e153], [-8e153]]))
         assert C[0, 0] == pytest.approx(1.28e308, rel=1e-15)
 
 
@@ -71,7 +76,7 @@ class TestSymEigen:
 
     def test_peak_is_twice_its_matrix(self, traced_peak):
         X = np.random.Generator(np.random.Philox(14)).standard_normal((1200, 600))
-        C = covariance(X)
+        C = sample_covariance(X)
         assert traced_peak(sym_eigen, C) <= 2.1 * C.nbytes
 
     def test_spectrum_invariant_under_orthogonal_similarity(self):
@@ -102,10 +107,10 @@ class TestGramEigen:
         X = rng.standard_normal((10, 50))
         basis = pca_basis(X, 1.0)
         w_gram, V_gram = basis.eigenvalues, basis.eigenvectors
-        w_direct, _ = sym_eigen(covariance(X))
+        w_direct, _ = sym_eigen(sample_covariance(X))
         assert w_gram == pytest.approx(w_direct[: len(w_gram)], rel=1e-6)
         # mapped-back eigenvectors are orthonormal and satisfy C v = lambda v
-        C = covariance(X)
+        C = sample_covariance(X)
         assert np.abs(V_gram.T @ V_gram - np.eye(len(w_gram))).max() < 1e-8
         resid = C @ V_gram - V_gram * w_gram
         assert np.abs(resid).max() < 1e-8 * max(1.0, np.abs(C).max())
@@ -114,7 +119,7 @@ class TestGramEigen:
         rng = np.random.Generator(np.random.Philox(15))
         X = rng.standard_normal((12, 12))
         w_gram = pca_basis(X, 1.0).eigenvalues  # n = p: the boundary, covariance route
-        w_direct, _ = sym_eigen(covariance(X))
+        w_direct, _ = sym_eigen(sample_covariance(X))
         k = len(w_gram)
         assert w_gram == pytest.approx(w_direct[:k], rel=1e-6)
 
@@ -154,7 +159,7 @@ class TestProject:
         X = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 5))
         basis = pca_basis(X, 1.0)
         Z = project(X, basis)
-        C = covariance(Z)
+        C = sample_covariance(Z)
         off = C - np.diag(np.diag(C))
         assert np.abs(off).max() < 1e-8
 
@@ -184,11 +189,11 @@ class TestPcaBasis:
         rng = np.random.Generator(np.random.Philox(18))
         X = rng.standard_normal((50, 6))
         basis = pca_basis(X, 0.99)
-        assert basis.total_variance == pytest.approx(np.trace(covariance(X)), rel=1e-12)
+        assert basis.total_variance == pytest.approx(np.trace(sample_covariance(X)), rel=1e-12)
         assert basis.variance_fraction >= 0.99 or basis.n_components == 49
         wide = rng.standard_normal((30, 90))  # Gram route: the n x n matrix has the same trace
         gram_total = pca_basis(wide, 0.99).total_variance
-        assert gram_total == pytest.approx(np.trace(covariance(wide)), rel=1e-12)
+        assert gram_total == pytest.approx(np.trace(sample_covariance(wide)), rel=1e-12)
 
     # 2**508 times N(0, 1) entries at n * p = 300: over the bound past which the
     # products could overflow, so the scaled route runs, with the variances
