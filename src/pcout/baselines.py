@@ -67,7 +67,7 @@ class DetectionResult:
 
 
 def robust_distances(D, C) -> np.ndarray:
-    """Mahalanobis distances under the scatter C of the rows of D, data less a location.
+    """Mahalanobis distances under the scatter C of the centred rows D = X - location.
 
     C is factored once, C = L L' (``np.linalg.cholesky``, which reads its lower
     triangle), and the distances are the row norms of D @ L^-T. Since
