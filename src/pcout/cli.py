@@ -178,15 +178,12 @@ def _cmd_sweep(args) -> int:
     alpha = _alpha_for([args.method], args.alpha)
     if args.method == "prcmpout":
         alpha = None  # the sweep rows echo no alpha for prcmpout
-    if args.replications < 1:
-        raise ConfigError(f"--replications must be positive, got {args.replications}")
     p_values = _parse_int_list(args.p_values, "--p-values")
     if not p_values:
         raise ConfigError("--p-values must name at least one dimension")
-    if any(p < 1 for p in p_values):
-        raise ConfigError(f"--p-values must be positive, got {p_values}")
     indices = _parse_int_list(args.outlier_indices, "--outlier-indices")
-    try:
+    handle = _flag_handle(args.method, alpha)
+    try:  # evalsim checks every count; a detector's failure is recorded on its row
         base_spec = evalsim.SimSpec(
             n=args.n,
             p=p_values[0],
@@ -195,12 +192,11 @@ def _cmd_sweep(args) -> int:
             scatter_factor=args.scatter_factor,
             seed=args.seed,
         )
+        rows = evalsim.dimension_sweep(
+            handle, p_values, args.replications, base_spec, detector_name=args.method, alpha=alpha
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    handle = _flag_handle(args.method, alpha)
-    rows = evalsim.dimension_sweep(
-        handle, p_values, args.replications, base_spec, detector_name=args.method, alpha=alpha
-    )
     doc = evalsim.document(base_spec, rows)
     _write_document(doc, args.format, args.output)
     for row in rows:
@@ -226,14 +222,12 @@ def _cmd_bench(args) -> int:
     if len(set(methods)) < len(methods):
         raise ConfigError(f"--methods names a method more than once: {args.methods!r}")
     alpha = _alpha_for(methods, args.alpha)
-    if args.repeats < 3:
-        raise ConfigError(f"--repeats must be at least 3, got {args.repeats}")
-    try:
+    handles = {m: _flag_handle(m, alpha) for m in methods}
+    try:  # evalsim checks every count; a detector's failure is recorded on its row
         spec = evalsim.SimSpec(n=args.n, p=args.p, seed=args.seed)
+        rows = evalsim.time_detectors(handles, spec, repeats=args.repeats)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    handles = {m: _flag_handle(m, alpha) for m in methods}
-    rows = evalsim.time_detectors(handles, spec, repeats=args.repeats)
     _write_document(evalsim.document(spec, rows), args.format, args.output)
     for row in rows:
         timing = f"failed: {row.failures[0]}" if row.failures else f"median {row.median_seconds:.4f}s"

@@ -21,6 +21,7 @@ line writes that document as JSON or CSV.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field, fields
@@ -41,6 +42,14 @@ REFERENCE_OUTLIER_ROWS = frozenset(
 DEFAULT_SEED = 42
 
 
+def _integer(name: str, value) -> int:
+    """The gate of every count and index: value as an int, or a ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SimSpec:
     """One contamination scenario: sizes, planted rows, shift, scatter, seed."""
@@ -54,25 +63,24 @@ class SimSpec:
 
     def __post_init__(self):
         for name in ("n", "p", "seed"):  # numpy integers too, stored as int
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n < 1 or self.p < 1:
             raise ValueError(f"n and p must be positive, got n={self.n}, p={self.p}")
+        for name in ("location_shift", "scatter_factor"):  # numpy floats too, stored as float
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not math.isfinite(self.location_shift):
             raise ValueError(f"location_shift must be finite, got {self.location_shift}")
         if not (math.isfinite(self.scatter_factor) and self.scatter_factor > 0.0):
             raise ValueError(f"scatter_factor must be positive and finite, got {self.scatter_factor}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        idx = frozenset(int(i) for i in self.outlier_indices)
+        idx = frozenset(_integer("each of outlier_indices", i) for i in self.outlier_indices)
         if idx and (min(idx) < 1 or max(idx) > self.n):
             raise ValueError(f"outlier indices must lie in 1..{self.n}")
         object.__setattr__(self, "outlier_indices", idx)
-        object.__setattr__(self, "location_shift", float(self.location_shift))
-        object.__setattr__(self, "scatter_factor", float(self.scatter_factor))
 
     def to_dict(self) -> dict:
         return {
@@ -173,9 +181,10 @@ def dimension_sweep(
     one replication is recorded on the row instead of aborting the sweep; the
     means cover the replications that succeeded.
     """
+    replications = _integer("replications", replications)
     if replications < 1:
         raise ValueError(f"replications must be positive, got {replications}")
-    p_values = [int(p) for p in p_values]
+    p_values = [_integer("each of p_values", p) for p in p_values]
     if any(p < 1 for p in p_values) or len(set(p_values)) < len(p_values):
         raise ValueError(f"p values must be positive and distinct, got {p_values}")
     n, truth, top = base_spec.n, _truth(base_spec), max(p_values, default=0)
@@ -231,6 +240,7 @@ def time_detectors(
     detector that fails is recorded on its row, as in dimension_sweep, and
     not timed further.
     """
+    repeats = _integer("repeats", repeats)
     if repeats < 3:
         raise ValueError(f"need at least 3 repeats, got {repeats}")
     X, _ = generate_contaminated(spec)

@@ -21,9 +21,11 @@ The pipeline:
 
 Every median, MAD and quantile is taken by the one lane kernel in ``robust``,
 and every row norm, stage 1's kurtosis-weighted ones included, by
-``robust.row_norms``. Each stage orders its distances once: ``robust.calibrate``
-takes the calibration median from one copy of them, scales that copy in place,
-which keeps its order, and stage 1 reads its quantile, median and MAD from it.
+``robust.row_norms``. Every median calibration goes through ``transform_distances``,
+which hands ``robust.calibrate`` the chi-square median as its target. Each stage
+orders its distances once: ``calibrate`` takes the calibration median from one
+copy of them, scales that copy in place, which keeps its order, and stage 1
+reads its quantile, median and MAD from it.
 """
 
 from __future__ import annotations
@@ -96,26 +98,16 @@ def checked_matrix(X) -> np.ndarray:
     return X
 
 
-def _chi_median_factor(df: int):
-    """The calibration rule: median(raw) -> the factor sqrt(chi2_quantile(0.5, df)) / median(raw)."""
-
-    def factor(med) -> float:
-        med = float(med)
-        if med <= 0.0:
-            raise ValueError("median of distances is zero; distances are degenerate")
-        return math.sqrt(chi2_quantile(0.5, df)) / med
-
-    return factor
-
-
-def transform_distances(raw, df: int) -> np.ndarray:
-    """Rescale distances so their median matches the chi-square median.
+def transform_distances(raw, df: int, q=None):
+    """Rescale distances so their median matches the chi-square median: the one
+    calibration entry of every detector.
 
     Each entry is multiplied by sqrt(chi2_quantile(0.5, df)) / median(raw),
     pulling the empirical distance distribution toward the chi-square the
-    weights are calibrated against.
+    weights are calibrated against; a median of zero is refused. With a q, also
+    the q-quantile, median and MAD of the result, as ``robust.calibrate`` reads them.
     """
-    return calibrate(raw, _chi_median_factor(df))
+    return calibrate(raw, math.sqrt(chi2_quantile(0.5, df)), q)
 
 
 def translated_biweight(d, M: float, c: float):
@@ -156,7 +148,7 @@ def stage1_location(Zs, cfg: DetectorConfig = DetectorConfig()) -> tuple[np.ndar
         rel = np.full(p_star, 1.0 / p_star)  # no kurtosis signal anywhere: weight evenly
     # the calibrated distances and their order statistics, from one ordering of the norms
     q = cfg.stage1_full_weight_fraction
-    d, m_cut, med, mad = calibrate(row_norms(Zs, rel), _chi_median_factor(p_star), q)
+    d, m_cut, med, mad = transform_distances(row_norms(Zs, rel), p_star, q)
     m_cut = float(m_cut)
     c_cut = float(med + cfg.stage1_c_mad_multiplier * mad)
     if c_cut > m_cut:

@@ -1,12 +1,13 @@
-"""Order-statistics primitives: median/MAD, the type-7 quantile, the spatial
+"""Order-statistics primitives: median/MAD, median calibration, the spatial
 (L1) median, robust column sphering and the row norms every detector scores by.
 
 Every median and quantile in the package is taken here, by one lane kernel
 that sorts a lane of at most 256 values whole and partitions a longer one at
-one kth; ``calibrate`` reads several of them, before and after a positive
-scaling, from one ordering of one copy. Every Euclidean norm outside this
-module is taken by ``row_norms``, which rescales rows by powers of two only
-when a norm falls where a square may overflow or underflow.
+one kth; ``calibrate``, handed a target median by ``prcmpout.transform_distances``,
+reads several of them, before and after a positive scaling, from one ordering
+of one copy. Every Euclidean norm outside this module is taken by ``row_norms``,
+which rescales rows by powers of two only when a norm falls where a square may
+overflow or underflow.
 Everything here is a pure function of its inputs. Scale estimation uses the
 median absolute deviation multiplied by 1.4826, which makes it consistent for
 the standard deviation at the normal distribution.
@@ -126,16 +127,12 @@ def median_mad(X, axis=None):
     return _lane_median_mad(_lanes(X, axis))
 
 
-def quantile(X, q, axis=None):
-    """np.quantile(X, q, axis) (type 7, numpy's default) for q in [0, 1] and an int
-    axis or None, taken on a copy of X laid out as lanes."""
-    return _lane_quantile(_lanes(X, axis), q)
-
-
-def calibrate(x, factor, q=None):
-    """x * f for a 1-D x and the float f = factor(median(x)); with a q in [0, 1], also
-    the type-7 q-quantile, the median and the scaled MAD of x * f, each the value
-    ``quantile`` and ``median_mad`` take of x * f, NaN for an x holding NaN.
+def calibrate(x, target, q=None):
+    """x * f for a 1-D x and f = target / median(x), refused when median(x) <= 0;
+    with a q in [0, 1], also the type-7 q-quantile, the median and the scaled MAD
+    of x * f, each the value np.quantile and ``median_mad`` take of x * f, NaN for
+    an x holding NaN. ``prcmpout.transform_distances``, the one calibration entry,
+    hands it the chi-square median as the target.
 
     All of it is read from one lane copy of x, ordered once. The median of x sorts
     a copy of at most _SORTED_LANE values whole; times a positive finite f, which
@@ -146,7 +143,10 @@ def calibrate(x, factor, q=None):
     """
     x = np.asarray(x, dtype=float)
     A = _lanes(x, None)
-    f = factor(_lane_median(A))
+    med = float(_lane_median(A))
+    if med <= 0.0:
+        raise ValueError("median of distances is zero; distances are degenerate")
+    f = target / med
     d = x * f
     if q is None:
         return d

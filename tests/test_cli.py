@@ -766,6 +766,37 @@ class TestDetectCommand:
         code = main(["detect", "--input", str(tmp_path / "nope.csv"), "--method", "prcmpout"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "content, message", [("", "empty file"), ("\n1,2\n3,4\n", "empty header row")], ids=["file", "header"]
+    )
+    def test_an_empty_file_or_header_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "m.csv"
+        path.write_text(content)
+        assert main(["detect", "--input", str(path), "--method", "prcmpout"]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"pcout: input error: {path}: {message}\n"
+
+    @staticmethod
+    def _first_36_rows_equal():
+        X = np.random.Generator(np.random.Philox(5)).standard_normal((60, 5))
+        X[:36] = X[0]
+        return X.tolist()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (lambda: [[1.0, 2.0]] * 5, "fewer than 2 rows away from the spatial center"),
+            (lambda: [[0.0, 0.0]] * 3 + [[1.0, 1.0], [2.0, 2.0]], "zero total variance; nothing to decompose"),
+            (_first_36_rows_equal, "all projected score columns have zero MAD"),
+        ],
+        ids=["all-at-the-center", "one-sign", "36-of-60-rows-equal"],
+    )
+    def test_sign2_degenerate_data_exit_3(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "m.csv"
+        rows = rows()
+        _write_csv(path, [f"c{j}" for j in range(len(rows[0]))], rows)
+        assert main(["detect", "--input", str(path), "--method", "sign2"]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"pcout: {message}\n"
+
     def test_duplicated_rows_name_the_cause_of_zero_mad(self, tmp_path, capsys):
         X, _ = generate_contaminated(SimSpec(n=50, p=4, seed=3))
         X[:30] = X[0]  # 30 copies of one row: every column's median value is that row's
@@ -958,6 +989,16 @@ class TestPlotData:
             assert main(["plotdata", "--report", str(path)]) == EXIT_INPUT
             assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, message", [(None, "cannot read"), ("{not json", "is not valid JSON")], ids=["missing", "invalid"]
+    )
+    def test_an_unreadable_report_exits_2(self, tmp_path, capsys, content, message):
+        report = tmp_path / "r.json"
+        if content is not None:
+            report.write_text(content)
+        assert main(["plotdata", "--report", str(report)]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", list(_FIGURES))
     def test_figure_data_matches_the_rows_of_its_one_kind(self, case):
         doc, kind = _FIGURES[case]()
@@ -1040,9 +1081,18 @@ class TestSweepCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_p_values_rejected(self):
-        assert main(["sweep", "--p-values", "ten"]) == EXIT_CONFIG
-        assert main(["sweep", "--p-values", "0,10"]) == EXIT_CONFIG
+    @pytest.mark.parametrize(
+        "p_values, message",
+        [
+            ("ten", "bad --p-values: 'ten'"),
+            ("0,10", "n and p must be positive, got n=100, p=0"),
+            ("10,0", "p values must be positive and distinct, got [10, 0]"),
+            ("", "--p-values must name at least one dimension"),
+        ],
+    )
+    def test_bad_p_values_rejected(self, p_values, message, capsys):
+        assert main(["sweep", "--p-values", p_values]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"pcout: configuration error: {message}\n"
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -1089,12 +1139,22 @@ class TestBenchCommand:
     def test_unknown_method_rejected(self):
         assert main(["bench", "--methods", "mcd"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("flags", [["--alpha", "2"], ["--methods", "prcmpout", "--alpha", "0"],
-                                       ["--repeats", "2"], ["--methods", "prcmpout", "--alpha", "0.1"],
-                                       ["--alpha", "1e-17"], ["--methods", "prcmpout,prcmpout"]])
-    def test_bad_alpha_or_repeats_is_a_config_error(self, flags, capsys):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alpha", "2"], "--alpha must be in (0, 1) with 1 - alpha below 1, got 2.0"),
+            (["--methods", "prcmpout", "--alpha", "0"], "--alpha must be in (0, 1) with 1 - alpha below 1, got 0.0"),
+            (["--repeats", "2"], "need at least 3 repeats, got 2"),
+            (["--methods", "prcmpout", "--alpha", "0.1"], "--alpha does not apply to the prcmpout method"),
+            (["--alpha", "1e-17"], "--alpha must be in (0, 1) with 1 - alpha below 1, got 1e-17"),
+            (["--methods", "prcmpout,prcmpout"], "--methods names a method more than once: 'prcmpout,prcmpout'"),
+            (["--methods", ","], "--methods must name at least one method"),
+            (["--n", "0"], "n and p must be positive, got n=0, p=20"),
+        ],
+    )
+    def test_bad_alpha_or_repeats_is_a_config_error(self, flags, message, capsys):
         assert main(["bench", *flags, "--p", "20"]) == EXIT_CONFIG
-        assert "configuration error" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"pcout: configuration error: {message}\n"
 
 
 def test_usage_error_exits_4(capsys):

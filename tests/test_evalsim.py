@@ -69,6 +69,26 @@ class TestSimSpec:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             SimSpec(**given)
 
+    @pytest.mark.parametrize("index", [2.7, np.float64(3.0), "3", None])
+    def test_a_non_integral_outlier_index_is_named(self, index):
+        with pytest.raises(ValueError, match="^each of outlier_indices must be an integer, got "):
+            SimSpec(n=10, p=2, outlier_indices=[1, index])
+
+    def test_numpy_integer_outlier_indices_are_stored_as_int(self):
+        spec = SimSpec(n=10, p=2, outlier_indices=[np.int64(3), np.uint8(1)])
+        assert spec.outlier_indices == {1, 3} and {type(i) for i in spec.outlier_indices} == {int}
+
+    @pytest.mark.parametrize("field", ["location_shift", "scatter_factor"])
+    @pytest.mark.parametrize("value", ["1.5", None, 1j, [2.0]])
+    def test_a_shift_or_scatter_that_is_not_a_real_number_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+            SimSpec(n=10, p=2, **{field: value})
+
+    def test_numpy_float_shift_and_scatter_are_stored_as_float(self):
+        spec = SimSpec(n=10, p=2, location_shift=np.float32(1.5), scatter_factor=np.float64(2.0))
+        assert (spec.location_shift, spec.scatter_factor) == (1.5, 2.0)
+        assert type(spec.location_shift) is float and type(spec.scatter_factor) is float
+
     def test_scatter_factor_is_echoed_as_a_float(self):
         echoed = SimSpec(n=10, p=2, scatter_factor=4).to_dict()["scatter_factor"]
         assert type(echoed) is float and echoed == 4.0
@@ -192,6 +212,41 @@ class TestDimensionSweep:
             f"p=5 rep={r}: label vectors differ in length: (40,) vs (3,)" for r in range(2)
         )
         assert rows[0].mean_fn is None and rows[0].mean_fp is None
+
+
+class TestCountGate:
+    """dimension_sweep and time_detectors read their counts as SimSpec reads n,
+    p and seed: numpy integers stored as int, anything else refused by name
+    before any detection runs."""
+
+    def test_numpy_integer_counts_write_as_json(self):
+        spec = SimSpec(n=30, p=3, outlier_indices={2}, location_shift=9.0, seed=1)
+        sweep = dimension_sweep(_always_flag_far, [np.int64(2), np.int32(3)], np.int64(2), spec)
+        timing = time_detectors({"norm": _always_flag_far}, spec, repeats=np.int64(3))
+        sweep_doc = json.loads(document_to_json(document(spec, sweep)))
+        timing_doc = json.loads(document_to_json(document(spec, timing)))
+        assert [(row["p"], row["replications"]) for row in sweep_doc["rows"]] == [(2, 2), (3, 2)]
+        assert [row["repeats"] for row in timing_doc["rows"]] == [3]
+
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (lambda h, spec: dimension_sweep(h, [2.7, 4.2], 2, spec), "each of p_values must be an integer, got 2.7"),
+            (lambda h, spec: dimension_sweep(h, [2], 2.5, spec), "replications must be an integer, got 2.5"),
+            (lambda h, spec: time_detectors({"h": h}, spec, repeats=3.5), "repeats must be an integer, got 3.5"),
+        ],
+        ids=["p_values", "replications", "repeats"],
+    )
+    def test_a_non_integral_count_is_named(self, run, message):
+        calls = []
+
+        def counting(X):
+            calls.append(X.shape)
+            return np.zeros(len(X), dtype=bool)
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(counting, SimSpec(n=20, p=2, seed=1))
+        assert calls == []
 
 
 def _recording(write=False):

@@ -1,12 +1,16 @@
 """Every import in ``src/`` and ``tests/`` is used, every private name in
-``src/`` is read, and importing the package loads no process machinery.
+``src/`` is read, every public function in ``src/`` has a caller in ``src/``
+or ``bench/``, and importing the package loads no process machinery.
 
 A name bound by an import counts as used when the module reads it anywhere or
 lists it in ``__all__``. ``from __future__`` imports change how the module
 compiles and bind nothing, so they are exempt. A module-level function, class
 or constant of ``src/`` whose name starts with one underscore counts as read
 when some module of ``src/`` reads it outside its own definition: as a name,
-as an attribute or in an import.
+as an attribute or in an import. A public module-level function of ``src/``
+counts as called when a statement other than its definition reads it: by name
+in its own module, or from any module of ``src/`` or ``bench/`` as an
+attribute of its module's name or through an import from its module.
 """
 
 import ast
@@ -20,6 +24,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
 SRC = sorted(ROOT.glob("src/**/*.py"))
+BENCH = sorted(ROOT.glob("bench/**/*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -132,6 +137,70 @@ def test_the_check_sees_an_unread_private_name():
     }
     assert unread_private_names(sources) == [
         "a.py: _DEAD", "a.py: _ANNOTATED", "a.py: _recursive", "a.py: _Unused",
+    ]
+
+
+def _reads_from(stmt: ast.stmt, module: str, own: bool) -> set[str]:
+    """The names stmt reads from the module named ``module``: as ``module.name``,
+    through ``from ...module import name``, and as a bare name when ``own``."""
+    read = set()
+    for node in ast.walk(stmt):
+        if own and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and _name(node.value) == module:
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def uncalled_public_functions(sources: dict[str, str], library) -> list[str]:
+    """``path: name`` for each public module-level function of a module in
+    ``library`` that no statement of ``sources`` but its own definition reads."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    uncalled = []
+    for path in library:
+        module = Path(path).stem
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name[:1] == "_":
+                continue
+            if not any(
+                node.name in _reads_from(stmt, module, other == path)
+                for other, tree in trees.items()
+                for stmt in tree.body
+                if stmt is not node
+            ):
+                uncalled.append(f"{path}: {node.name}")
+    return uncalled
+
+
+# ROADMAP item 2 keeps robust.l1_median, uncalled, as criterion 8's subject
+def test_every_public_function_in_src_is_called_from_src_or_bench():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in [*SRC, *BENCH]}
+    library = [str(p.relative_to(ROOT)) for p in SRC]
+    assert uncalled_public_functions(sources, library) == ["src/pcout/robust.py: l1_median"]
+
+
+def test_the_check_sees_an_uncalled_public_function():
+    sources = {
+        "lib/a.py": (
+            "def local(): pass\n"
+            "def by_attribute(): pass\n"
+            "def by_import(): pass\n"
+            "def handed_on(): pass\n"
+            "def uncalled(): pass\n"
+            "def recursive(k):\n"
+            "    return recursive(k - 1) if k else 0\n"
+            "def _private(): pass\n"
+            "class Public:\n"
+            "    def method(self): pass\n"
+            "x = local()\n"
+        ),
+        "lib/b.py": "from . import a\nfrom .a import by_import\na.by_attribute(); by_import(); np.uncalled()\n",
+        "tools/c.py": "from lib import a\nRUNNERS = {'h': a.handed_on}\nrecursive(3)\n",
+    }
+    assert uncalled_public_functions(sources, ["lib/a.py", "lib/b.py"]) == [
+        "lib/a.py: uncalled", "lib/a.py: recursive",
     ]
 
 

@@ -18,7 +18,7 @@ from pcout.prcmpout import (
     translated_biweight,
 )
 from pcout import robust
-from pcout.robust import MAD_SCALE, median_mad, quantile, robust_sphere, row_norms
+from pcout.robust import MAD_SCALE, _lane_quantile, _lanes, median_mad, robust_sphere, row_norms
 from pcout.spectral import pca_basis, retain_components
 
 
@@ -273,8 +273,8 @@ class TestStage2:
 
 def _stages_composed(Zs, kurt, cfg=DetectorConfig()):
     """Both stages' weights, distances and cuts as composed before each stage
-    ordered its distances once: transform_distances, then quantile and
-    median_mad on copies of the distances, and np.clip's biweight."""
+    ordered its distances once: transform_distances, then the lane kernel's
+    quantile and median_mad on copies of the distances, and np.clip's biweight."""
 
     def biweight(d, M, c):
         return (1.0 - np.clip((d - M) / (c - M), 0.0, 1.0) ** 2) ** 2
@@ -282,7 +282,7 @@ def _stages_composed(Zs, kurt, cfg=DetectorConfig()):
     p = Zs.shape[1]
     rel = kurt / np.add.reduce(kurt) if np.add.reduce(kurt) > 0.0 else np.full(p, 1.0 / p)
     d1 = transform_distances(row_norms(Zs, rel), p)
-    m1 = float(quantile(d1, cfg.stage1_full_weight_fraction))
+    m1 = float(_lane_quantile(_lanes(d1, None), cfg.stage1_full_weight_fraction))
     med, mad = median_mad(d1)
     c1 = float(med + cfg.stage1_c_mad_multiplier * mad)
     w1 = biweight(d1, m1, c1) if c1 > m1 else (d1 <= m1).astype(float)

@@ -11,18 +11,25 @@ from pcout.baselines import sign2_detect
 from pcout.prcmpout import detect
 from pcout.robust import (
     MAD_SCALE,
+    _lane_quantile,
+    _lanes,
     _scaled_row_norms,
     calibrate,
     l1_median,
     median,
     median_mad,
-    quantile,
     robust_sphere,
     row_norms,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 samples = st.lists(finite_floats, min_size=1, max_size=40)
+
+
+def quantile(X, q, axis=None):
+    """The lane kernel's type-7 quantile of X, for q in [0, 1] and an int axis or None."""
+    return _lane_quantile(_lanes(X, axis), q)
+
 
 # robust._SORTED_LANE values that send every lane down one route of the lane
 # kernel: partitioned at one kth (0), or sorted whole (above every lane's length)
@@ -161,7 +168,7 @@ def _quantile_samples(draw):
 
 
 class TestQuantile:
-    """robust.quantile gives np.quantile's bytes: type 7, the one stage 1 takes.
+    """The lane kernel's quantile gives np.quantile's bytes: type 7, the one stage 1 takes.
 
     Bar one thing: the sign of a zero. Where the two order statistics a
     quantile interpolates between are zeros of both signs, which zero a select
@@ -202,7 +209,7 @@ class TestQuantile:
 
 class TestCalibrate:
     """robust.calibrate reads np.median, np.quantile and the scaled MAD of x * f,
-    f = factor(median(x)), bit for bit, from one ordering of its copy of x."""
+    f = target / median(x), bit for bit, from one ordering of its copy of x."""
 
     @staticmethod
     def _statistics(d, q):
@@ -217,13 +224,13 @@ class TestCalibrate:
         monkeypatch.setattr(robust, "_SORTED_LANE", limit)
         x = np.abs(np.random.Generator(np.random.Philox(n)).standard_normal(n))
         x[:: max(n // 10, 1)] = x[0]  # ties
-        factor = (lambda med: 0.6744897501960817 / float(med)) if scaled else (lambda med: 1.0)
+        target = 0.6744897501960817 if scaled else float(np.median(x))  # the latter gives f = 1
         before = x.tobytes()
         for q in (0.0, 1.0 / 3.0, 0.5, 1.0):
-            d, *got = calibrate(x, factor, q)
-            assert d.tobytes() == (x * factor(np.median(x))).tobytes()
+            d, *got = calibrate(x, target, q)
+            assert d.tobytes() == (x * (target / float(np.median(x)))).tobytes()
             assert np.array(got).tobytes() == np.array(self._statistics(d, q)).tobytes()
-        assert calibrate(x, factor).tobytes() == d.tobytes()
+        assert calibrate(x, target).tobytes() == d.tobytes()
         assert x.tobytes() == before
 
     @pytest.mark.parametrize("limit", _ROUTES, ids=["select", "sorted"])
@@ -232,10 +239,8 @@ class TestCalibrate:
         monkeypatch.setattr(robust, "_SORTED_LANE", limit)
         x = np.arange(1.0, n + 1.0)
         x[n // 3] = np.nan
-        seen = []
-        d, *got = calibrate(x, lambda med: seen.append(med) or 1.0, 1.0 / 3.0)
-        assert np.isnan(seen).all() and np.isnan(got).all()
-        assert d.tobytes() == x.tobytes()
+        d, *got = calibrate(x, 1.0, 1.0 / 3.0)  # the median is NaN, and so is f
+        assert np.isnan(d).all() and np.isnan(got).all()
 
     @pytest.mark.parametrize("limit", _ROUTES, ids=["select", "sorted"])
     def test_an_infinite_factor_reads_what_numpy_reads(self, monkeypatch, limit):
@@ -243,9 +248,14 @@ class TestCalibrate:
         monkeypatch.setattr(robust, "_SORTED_LANE", limit)
         x = np.array([0.0, 1.0, 2.0, 3.0, 0.0, 5.0])
         with np.errstate(invalid="ignore"):
-            d, *got = calibrate(x, lambda med: np.inf, 1.0 / 3.0)
+            d, *got = calibrate(x, np.inf, 1.0 / 3.0)
         assert np.isnan(d[[0, 4]]).all()
         assert np.array_equal(got, self._statistics(d, 1.0 / 3.0), equal_nan=True)
+
+    @pytest.mark.parametrize("x", [[0.0, 0.0, 1.0], [-2.0, -1.0, 3.0]], ids=["zero", "negative"])
+    def test_a_median_at_or_below_zero_is_refused(self, x):
+        with pytest.raises(ValueError, match="^median of distances is zero; distances are degenerate$"):
+            calibrate(x, 1.0)
 
     @pytest.mark.parametrize("q, sorts", [(None, 1), (1.0 / 3.0, 2)])
     def test_a_short_copy_is_sorted_for_the_median_and_for_the_deviations_only(self, monkeypatch, q, sorts):
@@ -257,7 +267,7 @@ class TestCalibrate:
             return select(A, k, ordered)
 
         monkeypatch.setattr(robust, "_select", counted)
-        calibrate(np.arange(100.0, 0.0, -1.0), lambda med: 2.0, q)
+        calibrate(np.arange(100.0, 0.0, -1.0), 101.0, q)  # f = 101 / 50.5 = 2
         assert calls.count(False) == sorts
 
 
